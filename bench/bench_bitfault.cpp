@@ -22,61 +22,17 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <new>
 #include <string_view>
 #include <vector>
 
 #include "fault/bitfault.hpp"
+#include "alloc_counter.hpp"
 #include "obs/bench_io.hpp"
 #include "scenario/bitfault.hpp"
 #include "sim/simulator.hpp"
 #include "tta/bus.hpp"
 #include "tta/frame.hpp"
 #include "tta/tdma.hpp"
-
-namespace {
-unsigned long long g_allocs = 0;
-}
-
-// Counting global allocator hooks: every variant funnels through malloc so
-// the count covers array, nothrow and over-aligned forms alike.
-void* operator new(std::size_t n) {
-  ++g_allocs;
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  ++g_allocs;
-  return std::malloc(n);
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  ++g_allocs;
-  return std::malloc(n);
-}
-void* operator new(std::size_t n, std::align_val_t a) {
-  ++g_allocs;
-  const auto align = static_cast<std::size_t>(a);
-  if (void* p = std::aligned_alloc(align, (n + align - 1) / align * align)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return ::operator new(n, a);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -221,11 +177,11 @@ TransmitStats bench_transmit(tta::RoundId rounds, double rx_ber) {
   };
 
   run_rounds(0, 256);  // warm-up: pool, kernel slab, payload capacity
-  const auto a0 = g_allocs;
+  const auto a0 = bench::allocations();
   const auto w0 = std::chrono::steady_clock::now();
   run_rounds(256, rounds);
   const auto w1 = std::chrono::steady_clock::now();
-  const auto allocs = g_allocs - a0;
+  const auto allocs = bench::allocations() - a0;
   const double wall = std::chrono::duration<double>(w1 - w0).count();
 
   TransmitStats t;

@@ -37,9 +37,7 @@ Outcome run_one(std::uint64_t seed, double shrink) {
                                 sim::milliseconds(10));
   rig.run(sim::seconds(10));
 
-  diag::FeatureParams fp;
-  const auto eps =
-      diag::sender_episodes(rig.diag().assessor().evidence(), 1, fp);
+  const auto eps = rig.diag().assessor().component_features(1).sender_eps;
 
   Outcome out{1.0, 0, 0, false};
   if (eps.size() < 6) return out;

@@ -18,78 +18,21 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <new>
 #include <string_view>
 
+#include "alloc_counter.hpp"
 #include "analysis/fleet.hpp"
 #include "fleet/campaign.hpp"
 #include "fleet/fleet_sim.hpp"
 #include "obs/bench_io.hpp"
 
 namespace {
-unsigned long long g_allocs = 0;
-}
-
-// Counting global allocator hooks: every variant funnels through malloc so
-// the count covers array, nothrow and over-aligned forms alike.
-void* operator new(std::size_t n) {
-  ++g_allocs;
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  ++g_allocs;
-  return std::malloc(n);
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  ++g_allocs;
-  return std::malloc(n);
-}
-void* operator new(std::size_t n, std::align_val_t a) {
-  ++g_allocs;
-  const auto align = static_cast<std::size_t>(a);
-  if (void* p = std::aligned_alloc(align, (n + align - 1) / align * align)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return ::operator new(n, a);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
-// Sanitizer builds interpose the allocator, which skews the counting hook;
-// the steady-state hard zero is only asserted on plain builds (the CI
-// perf gate), sanitized runs keep it report-only like E18.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define DECOS_BENCH_SANITIZED 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define DECOS_BENCH_SANITIZED 1
-#endif
-#endif
-
-namespace {
 
 using namespace decos;
 
-#if defined(DECOS_BENCH_SANITIZED)
-constexpr bool kAllocGateArmed = false;
-#else
-constexpr bool kAllocGateArmed = true;
-#endif
+// The steady-state hard zero is only asserted on plain builds (the CI
+// perf gate); sanitized runs keep it report-only like E18.
+constexpr bool kAllocGateArmed = !bench::kAllocatorSanitized;
 
 int g_failures = 0;
 
@@ -118,11 +61,11 @@ void bench_steady(obs::BenchReporter& reporter, std::uint32_t vehicles,
 
   sim.run_into(tally);  // warm-up: slabs, heaps, arenas, tallies at HWM
 
-  const auto a0 = g_allocs;
+  const auto a0 = bench::allocations();
   const auto w0 = std::chrono::steady_clock::now();
   sim.run_into(tally);
   const auto w1 = std::chrono::steady_clock::now();
-  const auto allocs = g_allocs - a0;
+  const auto allocs = bench::allocations() - a0;
   const double wall = std::chrono::duration<double>(w1 - w0).count();
   const auto epochs = static_cast<double>(vehicles) * 4.0;
 

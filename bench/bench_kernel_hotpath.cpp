@@ -17,11 +17,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <new>
 #include <string_view>
 
 #include "diag/evidence.hpp"
 #include "diag/symptom.hpp"
+#include "alloc_counter.hpp"
 #include "obs/bench_io.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
@@ -29,50 +29,6 @@
 #include "vnet/message.hpp"
 #include "vnet/multiplexer.hpp"
 #include "vnet/network_plan.hpp"
-
-namespace {
-unsigned long long g_allocs = 0;
-}
-
-// Counting global allocator hooks: every variant funnels through malloc so
-// the count covers array, nothrow and over-aligned forms alike.
-void* operator new(std::size_t n) {
-  ++g_allocs;
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  ++g_allocs;
-  return std::malloc(n);
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  ++g_allocs;
-  return std::malloc(n);
-}
-void* operator new(std::size_t n, std::align_val_t a) {
-  ++g_allocs;
-  const auto align = static_cast<std::size_t>(a);
-  if (void* p = std::aligned_alloc(align, (n + align - 1) / align * align)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return ::operator new(n, a);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -129,12 +85,12 @@ SectionResult bench_scheduling(int horizon_seconds) {
 
   s.run_until(sim::SimTime::zero() + sim::milliseconds(200));  // warm-up
   const auto ev0 = s.events_executed();
-  const auto a0 = g_allocs;
+  const auto a0 = bench::allocations();
   const auto w0 = std::chrono::steady_clock::now();
   s.run_until(sim::SimTime::zero() + sim::seconds(horizon_seconds));
   const auto w1 = std::chrono::steady_clock::now();
   const auto events = s.events_executed() - ev0;
-  const auto allocs = g_allocs - a0;
+  const auto allocs = bench::allocations() - a0;
   const double wall = std::chrono::duration<double>(w1 - w0).count();
 
   SectionResult r;
@@ -182,12 +138,12 @@ SectionResult bench_mux_round(tta::RoundId rounds) {
   };
 
   for (tta::RoundId r = 0; r < 512; ++r) round_once(r);  // warm-up
-  const auto a0 = g_allocs;
+  const auto a0 = bench::allocations();
   const auto w0 = std::chrono::steady_clock::now();
   std::size_t sink = 0;
   for (tta::RoundId r = 512; r < 512 + rounds; ++r) sink += round_once(r);
   const auto w1 = std::chrono::steady_clock::now();
-  const auto allocs = g_allocs - a0;
+  const auto allocs = bench::allocations() - a0;
   const double wall = std::chrono::duration<double>(w1 - w0).count();
 
   SectionResult res;
@@ -241,12 +197,12 @@ SectionResult bench_diag_ingest(tta::RoundId rounds) {
 
   for (tta::RoundId r = 0; r < 4'096; ++r) round_once(r);  // warm-up
   const auto n0 = store.symptoms_ingested();
-  const auto a0 = g_allocs;
+  const auto a0 = bench::allocations();
   const auto w0 = std::chrono::steady_clock::now();
   for (tta::RoundId r = 4'096; r < 4'096 + rounds; ++r) round_once(r);
   const auto w1 = std::chrono::steady_clock::now();
   const auto symptoms = store.symptoms_ingested() - n0;
-  const auto allocs = g_allocs - a0;
+  const auto allocs = bench::allocations() - a0;
   const double wall = std::chrono::duration<double>(w1 - w0).count();
 
   SectionResult res;

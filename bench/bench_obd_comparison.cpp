@@ -43,9 +43,7 @@ int main(int argc, char** argv) {
       rig.run(sim::seconds(2) + sim::milliseconds(outage_ms));
 
       // DECOS detection: any credible omission evidence about component 2.
-      diag::FeatureParams fp;
-      if (!diag::sender_episodes(rig.diag().assessor().evidence(), 2, fp)
-               .empty()) {
+      if (!rig.diag().assessor().component_features(2).sender_eps.empty()) {
         ++decos_hits;
       }
     }

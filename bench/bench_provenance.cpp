@@ -19,9 +19,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <new>
 #include <string_view>
 
+#include "alloc_counter.hpp"
 #include "obs/bench_io.hpp"
 #include "obs/provenance.hpp"
 #include "scenario/chaos.hpp"
@@ -30,50 +30,6 @@
 #include "vnet/message.hpp"
 #include "vnet/multiplexer.hpp"
 #include "vnet/network_plan.hpp"
-
-namespace {
-unsigned long long g_allocs = 0;
-}
-
-// Counting global allocator hooks: every variant funnels through malloc so
-// the count covers array, nothrow and over-aligned forms alike.
-void* operator new(std::size_t n) {
-  ++g_allocs;
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  ++g_allocs;
-  return std::malloc(n);
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  ++g_allocs;
-  return std::malloc(n);
-}
-void* operator new(std::size_t n, std::align_val_t a) {
-  ++g_allocs;
-  const auto align = static_cast<std::size_t>(a);
-  if (void* p = std::aligned_alloc(align, (n + align - 1) / align * align)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return ::operator new(n, a);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -133,12 +89,12 @@ SectionResult bench_mux_with_tracer(tta::RoundId rounds, TraceMode mode) {
   };
 
   for (tta::RoundId r = 0; r < 512; ++r) round_once(r);  // warm-up
-  const auto a0 = g_allocs;
+  const auto a0 = bench::allocations();
   const auto w0 = std::chrono::steady_clock::now();
   std::size_t sink = 0;
   for (tta::RoundId r = 512; r < 512 + rounds; ++r) sink += round_once(r);
   const auto w1 = std::chrono::steady_clock::now();
-  const auto allocs = g_allocs - a0;
+  const auto allocs = bench::allocations() - a0;
   const double wall = std::chrono::duration<double>(w1 - w0).count();
 
   const char* label = mode == TraceMode::kNone       ? "bare"

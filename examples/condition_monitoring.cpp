@@ -33,13 +33,11 @@ int main() {
 
   // Drive until the diagnosis flags the LRU as wearing.
   std::printf("phase 1: monitoring...\n");
-  diag::FeatureParams fp;
   analysis::WearoutTracker tracker;
   std::optional<analysis::WearoutTracker::Prognosis> prognosis;
   for (int window = 0; window < 40 && !prognosis; ++window) {
     rig.run(sim::milliseconds(250));
-    const auto eps =
-        diag::sender_episodes(rig.diag().assessor().evidence(), lru, fp);
+    const auto eps = rig.diag().assessor().component_features(lru).sender_eps;
     if (eps.size() < 5) continue;
     analysis::WearoutTracker t;
     for (const auto& e : eps) t.add_episode(e.first);

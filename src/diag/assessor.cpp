@@ -17,15 +17,12 @@ Assessor::Assessor(Params p, fault::SpatialLayout layout,
       was_stale_(component_count, false),
       channels_(component_count),
       component_hits_(component_count, 0),
-      mask_words_((component_count + 63) / 64) {
+      mask_words_((component_count + 63) / 64),
+      summary_(classifier_.resolved_features(component_count),
+               p.classifier.alpha_decay, component_count,
+               classifier_.layout()) {
   if (mask_words_ == 0) mask_words_ = 1;
   transport_masks_.assign(component_count_ * mask_words_, 0);
-  if (p_.incremental_summaries) {
-    summary_ = EvidenceSummary(&store_,
-                               classifier_.resolved_features(component_count),
-                               p_.classifier.alpha_decay, component_count,
-                               classifier_.layout());
-  }
 }
 
 void Assessor::enable_hierarchy(HierarchyTopology topology,
@@ -81,6 +78,7 @@ void Assessor::register_subject_job(platform::JobId job,
 
 void Assessor::bind_metrics(obs::Registry& registry) {
   metrics_ = &registry;
+  class_metrics_ = {};
   symptoms_metric_ = registry.counter("diag.symptoms_ingested");
   violations_metric_ = registry.counter("diag.trust_violations");
   gaps_metric_ = registry.counter("diag.assessor.symptom_gaps");
@@ -416,7 +414,7 @@ void Assessor::process(platform::JobContext& ctx) {
                   [horizon](const DedupKey& k) { return k.round < horizon; });
   }
 
-  summary_.fold(round_);
+  summary_.fold(store_, round_);
   store_.prune(round_);
   summary_.note_prune(
       round_ > p_.evidence.window_rounds ? round_ - p_.evidence.window_rounds
@@ -666,30 +664,35 @@ void Assessor::reconcile_from(const Assessor& fresher) {
     store_ = fresher.store_;
     component_trajectories_ = fresher.component_trajectories_;
     last_sample_ = fresher.last_sample_;
-    if (summary_.enabled()) {
-      if (fresher.summary_.enabled()) {
-        summary_ = fresher.summary_;
-        summary_.rebind(&store_);
-      } else {
-        // Fresh summary over the adopted store; first access rebuilds.
-        summary_ = EvidenceSummary(
-            &store_, classifier_.resolved_features(component_count_),
-            p_.classifier.alpha_decay, component_count_, classifier_.layout());
-      }
-    }
+    summary_ = fresher.summary_;
   }
   seen_.insert(fresher.seen_.begin(), fresher.seen_.end());
 }
 
-Diagnosis Assessor::diagnose_component(platform::ComponentId c) const {
-  Diagnosis d = classifier_.classify_component(store_, c, round_,
-                                               component_count_, summary_ptr());
-  if (metrics_) {
-    metrics_
-        ->counter("diag.classifications",
-                  std::string("cls=") + fault::to_string(d.cls))
-        .inc();
+ComponentFeatures Assessor::component_features(platform::ComponentId c) const {
+  ComponentFeatures f;
+  summary_.component_features(store_, c, round_, f);
+  return f;
+}
+
+void Assessor::count_classification(fault::FaultClass cls) const {
+  if (!metrics_) return;
+  auto& counter = class_metrics_[static_cast<std::size_t>(cls)];
+  if (!counter) {
+    counter = metrics_->counter("diag.classifications",
+                                std::string("cls=") + fault::to_string(cls));
   }
+  counter->inc();
+}
+
+Diagnosis Assessor::diagnose_component(platform::ComponentId c) const {
+  return diagnose_component(c, component_features(c));
+}
+
+Diagnosis Assessor::diagnose_component(platform::ComponentId c,
+                                       const ComponentFeatures& f) const {
+  Diagnosis d = classifier_.classify_component(store_, c, round_, f);
+  count_classification(d.cls);
   if (prov_ && prov_->enabled() && d.cls != fault::FaultClass::kNone) {
     prov_->event(prov_->journey_for_component(c), obs::ProvStage::kVerdict,
                  "assessor", fault::to_string(d.cls), round_);
@@ -707,12 +710,7 @@ Diagnosis Assessor::diagnose_job(platform::JobId j) const {
   const auto& siblings =
       sib_it == jobs_by_host_.end() ? kNoSiblings : sib_it->second;
   Diagnosis d = classifier_.classify_job(store_, j, host_diag, siblings, round_);
-  if (metrics_) {
-    metrics_
-        ->counter("diag.classifications",
-                  std::string("cls=") + fault::to_string(d.cls))
-        .inc();
-  }
+  count_classification(d.cls);
   if (prov_ && prov_->enabled() && d.cls != fault::FaultClass::kNone) {
     prov_->event(prov_->journey_for_job(j), obs::ProvStage::kVerdict,
                  "assessor", fault::to_string(d.cls), round_);

@@ -21,6 +21,7 @@
 // observation key so resends never double-charge trust.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -93,10 +94,6 @@ class Assessor {
     /// Observation-key dedupe horizon in rounds (must exceed the agents'
     /// largest resend backoff).
     tta::RoundId dedupe_window = 512;
-    /// Maintain incremental evidence summaries so classification folds
-    /// the aged window once instead of rescanning it per classify call.
-    /// Off by default: the legacy rigs keep the exact walk path.
-    bool incremental_summaries = false;
     /// Hierarchy mode: rounds between periodic re-emissions of a still-
     /// standing verdict delta (edge-triggered emissions happen at the
     /// violation instant regardless).
@@ -225,13 +222,23 @@ class Assessor {
     return ch.seq_seen || ch.last_heard != 0;
   }
 
-  /// The incremental evidence summary, when enabled (tests/inspection).
-  [[nodiscard]] const EvidenceSummary* summary() const {
-    return summary_.enabled() ? &summary_ : nullptr;
+  /// The evidence summary every component feature is read from
+  /// (tests/inspection).
+  [[nodiscard]] const EvidenceSummary& summary() const { return summary_; }
+  /// The resolved feature parameters of this assessor's cluster.
+  [[nodiscard]] const FeatureParams& feature_params() const {
+    return summary_.feature_params();
   }
 
   // --- results -----------------------------------------------------------
+  /// Component `c`'s features at the current round: the one record its
+  /// verdict and its Out-of-Norm Assertions are judged on.
+  [[nodiscard]] ComponentFeatures component_features(
+      platform::ComponentId c) const;
   [[nodiscard]] Diagnosis diagnose_component(platform::ComponentId c) const;
+  /// Verdict on `c` from features already extracted for this round.
+  [[nodiscard]] Diagnosis diagnose_component(
+      platform::ComponentId c, const ComponentFeatures& f) const;
   [[nodiscard]] Diagnosis diagnose_job(platform::JobId j) const;
 
   [[nodiscard]] double component_trust(platform::ComponentId c) const {
@@ -320,6 +327,7 @@ class Assessor {
 
   void note_component_trust(platform::ComponentId c);
   void note_job_trust(platform::JobId j);
+  void count_classification(fault::FaultClass cls) const;
 
   /// Journey owning the symptom's subject FRU (job first, else component);
   /// kNoJourney when tracing is off or the FRU has no active journey.
@@ -398,9 +406,6 @@ class Assessor {
   /// and drains the dissemination queue within the per-round budget.
   void emit_deltas(platform::JobContext& ctx);
   void queue_clear_delta(bool job_level, std::uint32_t fru, double trust);
-  [[nodiscard]] const EvidenceSummary* summary_ptr() const {
-    return summary_.enabled() ? &summary_ : nullptr;
-  }
 
   obs::Counter hier_accepted_metric_;
   obs::Counter hier_filtered_metric_;
@@ -411,6 +416,11 @@ class Assessor {
   obs::Counter hier_rejected_metric_;
 
   obs::Registry* metrics_ = nullptr;  // for label-keyed lazy registration
+  /// diag.classifications{cls=...} per fault class, bound on first use so
+  /// a series appears only once it has counted.
+  mutable std::array<std::optional<obs::Counter>,
+                     static_cast<std::size_t>(fault::FaultClass::kNone) + 1>
+      class_metrics_;
   obs::Counter symptoms_metric_;
   obs::Counter violations_metric_;
   obs::Counter gaps_metric_;

@@ -10,7 +10,7 @@
 //   value  — CRC corruption vs timing deviation vs semantic out-of-range
 //            vs slow drift (transducer wearout).
 //
-// Feature extraction lives in diag/features.hpp (shared with the
+// Feature extraction lives in diag/summary.hpp (shared with the
 // declarative ONA library); this class applies the decision rules. Each
 // rule produces the class plus a human-readable rationale — what a service
 // technician's display shows next to the trust level.
@@ -27,8 +27,6 @@
 #include "platform/types.hpp"
 
 namespace decos::diag {
-
-class EvidenceSummary;
 
 struct Diagnosis {
   fault::FaultClass cls = fault::FaultClass::kNone;
@@ -83,20 +81,22 @@ class Classifier {
   Classifier(Params p, fault::SpatialLayout layout)
       : p_(p), layout_(std::move(layout)) {}
 
-  /// Classifies one component FRU from the evidence store. When `summary`
-  /// is provided (and its resolved feature parameters match this
-  /// classifier's), the time/space/value features come from the folded
-  /// incremental state plus a short exact tail walk instead of a full
-  /// rescan of the evidence window — same decision rules, same verdicts.
+  /// Classifies one component FRU from its features (see
+  /// EvidenceSummary::component_features) and the store's guardian blocks.
+  [[nodiscard]] Diagnosis classify_component(const EvidenceStore& ev,
+                                             platform::ComponentId c,
+                                             tta::RoundId now,
+                                             const ComponentFeatures& f) const;
+
+  /// One-off classification of any store, e.g. an off-board replay:
+  /// extracts the features with a summary that has folded nothing.
   [[nodiscard]] Diagnosis classify_component(
       const EvidenceStore& ev, platform::ComponentId c, tta::RoundId now,
-      std::uint32_t component_count,
-      const EvidenceSummary* summary = nullptr) const;
+      std::uint32_t component_count) const;
 
   /// The fully resolved feature parameters for a cluster of
   /// `component_count` components (sender_spread auto-scaling applied) —
-  /// what an EvidenceSummary must be constructed with to be accepted by
-  /// classify_component.
+  /// what the EvidenceSummary feeding classify_component is built with.
   [[nodiscard]] FeatureParams resolved_features(
       std::uint32_t component_count) const {
     FeatureParams fp = p_.features();

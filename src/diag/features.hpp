@@ -1,6 +1,7 @@
-// Feature extraction over the evidence store — the measurable quantities
-// of the three Fig. 8 dimensions, shared by the rule classifier and the
-// declarative Out-of-Norm Assertion library.
+// Feature vocabulary of the three Fig. 8 dimensions, shared by the rule
+// classifier and the declarative Out-of-Norm Assertion library. The
+// component features are extracted in one place, diag/summary.hpp; this
+// header holds the record they fill and the pure tests over it.
 //
 //   time  : symptomatic-round lists grouped into episodes; rate trends
 //   space : credible-observer quorums (sender-side) vs sender spread
@@ -11,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "diag/evidence.hpp"
 #include "fault/injector.hpp"
 #include "platform/types.hpp"
 
@@ -22,11 +22,18 @@ struct Episode {
   tta::RoundId first = 0;
   tta::RoundId last = 0;
   std::uint32_t rounds = 0;  // symptomatic rounds inside [first, last]
+
+  bool operator==(const Episode&) const = default;
 };
 
 /// Groups symptomatic rounds (ascending) into episodes separated by > gap.
 [[nodiscard]] std::vector<Episode> episodes_of(
     const std::vector<tta::RoundId>& symptomatic_rounds, tta::RoundId gap);
+
+/// Appends symptomatic round `r` (not below the last one) to `eps`: it
+/// extends the last episode when within `gap` of it, else opens a new one.
+void extend_episodes(std::vector<Episode>& eps, tta::RoundId r,
+                     tta::RoundId gap);
 
 struct FeatureParams {
   /// Distinct credible observers required before the *sender* is the
@@ -50,64 +57,59 @@ struct FeatureParams {
   bool operator==(const FeatureParams&) const = default;
 };
 
-/// Rounds in which >= quorum *credible* observers reported component `c`
-/// as a faulty sender. An observer flagging >= sender_spread senders in
-/// the same round is self-suspect and does not count.
-[[nodiscard]] std::vector<tta::RoundId> credible_sender_rounds(
-    const EvidenceStore& ev, platform::ComponentId c, const FeatureParams& p);
-
-/// Episodes of the above.
-[[nodiscard]] std::vector<Episode> sender_episodes(const EvidenceStore& ev,
-                                                   platform::ComponentId c,
-                                                   const FeatureParams& p);
-
-/// Rounds in which component `c` itself reported >= sender_spread senders
-/// (its receive path is the common factor).
-[[nodiscard]] std::vector<tta::RoundId> observer_rounds(
-    const EvidenceStore& ev, platform::ComponentId c, const FeatureParams& p);
-
-[[nodiscard]] std::vector<Episode> observer_episodes(const EvidenceStore& ev,
-                                                     platform::ComponentId c,
-                                                     const FeatureParams& p);
-
 /// Late-vs-early mean episode gap shrinks below the wearout ratio.
 [[nodiscard]] bool rate_increasing(const std::vector<Episode>& eps,
                                    const FeatureParams& p);
 
-/// Some episode of `c` coincides (within delta) with an observer-round of
-/// a spatially proximate component.
-[[nodiscard]] bool spatially_correlated(const EvidenceStore& ev,
-                                        platform::ComponentId c,
-                                        const std::vector<Episode>& eps,
-                                        const fault::SpatialLayout& layout,
-                                        std::uint32_t component_count,
-                                        const FeatureParams& p);
-
-/// Per-verdict totals over quorum rounds about `c`.
+/// Per-verdict totals over quorum rounds about a component.
 struct VerdictTotals {
   std::uint64_t crc = 0;
   std::uint64_t timing = 0;
   std::uint64_t omission = 0;
   std::uint64_t quorum_rounds = 0;
+
+  bool operator==(const VerdictTotals&) const = default;
 };
-[[nodiscard]] VerdictTotals verdict_totals(const EvidenceStore& ev,
-                                           platform::ComponentId c,
-                                           const FeatureParams& p);
+
+/// The time/space/value features of one component FRU: the one record
+/// the rule classifier and every Out-of-Norm Assertion read. Produced by
+/// EvidenceSummary::component_features.
+struct ComponentFeatures {
+  /// Episodes of the rounds in which >= quorum *credible* observers
+  /// reported the component as a faulty sender. An observer flagging
+  /// >= sender_spread senders in the same round is self-suspect and does
+  /// not count.
+  std::vector<Episode> sender_eps;
+  /// Episodes of the rounds in which the component itself reported
+  /// >= sender_spread senders (its receive path is the common factor).
+  std::vector<Episode> observer_eps;
+  /// Per observer episode: coincides (within correlation_delta) with an
+  /// observer round of a spatially proximate component.
+  std::vector<bool> observer_hit;
+  VerdictTotals totals;
+  /// Alpha-count score (Bondavalli et al., the paper's §V-C
+  /// discriminator) over the credible sender rounds at or before `now`:
+  /// each contributes decay^(now - round). Rare uncorrelated transients
+  /// decay away; an internal fault recurring at the same location keeps
+  /// the score high.
+  double alpha = 0.0;
+
+  /// A *majority* of the observer episodes coincide with receive-path
+  /// trouble at a proximate component. A vehicle with a bad connector
+  /// also drives past the occasional interference zone, and one
+  /// coincidence must not relabel the whole recurring connector history
+  /// as EMI; a true massive transient correlates in (almost) every
+  /// episode it produced.
+  [[nodiscard]] bool observers_correlated() const {
+    std::size_t hits = 0;
+    for (const bool h : observer_hit) hits += h ? 1u : 0u;
+    return 2 * hits > observer_eps.size();
+  }
+};
 
 /// Bucket-mean drift test over a job's value-magnitude history: split into
 /// four buckets; near-monotone growth with last >= 1.8 x first.
 [[nodiscard]] bool magnitudes_drifting(const std::vector<double>& magnitudes);
-
-/// Alpha-count score (Bondavalli et al., the paper's §V-C discriminator)
-/// computed over the credible sender rounds of `c`: each symptomatic
-/// round contributes decay^(now - round). Rare uncorrelated transients
-/// decay away; an internal fault recurring at the same location keeps the
-/// score high. Equivalent to running reliability::AlphaCount over the
-/// round history, evaluated lazily on the evidence store.
-[[nodiscard]] double alpha_score(const EvidenceStore& ev,
-                                 platform::ComponentId c, tta::RoundId now,
-                                 const FeatureParams& p,
-                                 double decay = 0.999);
 
 // --- bit-level value-error features (Fig. 8's value dimension at bit
 // granularity, computed over a fault::BitFaultLog slice) ---------------------

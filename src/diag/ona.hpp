@@ -6,8 +6,8 @@
 // particular fault pattern are detected on the distributed state."
 //
 // This module gives the concept a first-class, declarative form: an ONA
-// is a named conjunction of per-dimension conditions over the evidence
-// store; the standard library expresses the Fig. 8 patterns (and the rest
+// is a named conjunction of per-dimension conditions over a component's
+// features; the standard library expresses the Fig. 8 patterns (and the rest
 // of the taxonomy) as ONA objects. The OnaEngine evaluates the whole rule
 // base for a subject FRU and reports every triggered assertion — the
 // DECOS architecture's explainable front-end to the rule classifier.
@@ -22,15 +22,15 @@
 
 namespace decos::diag {
 
-/// Everything a condition may look at: the distributed state (evidence),
-/// the subject FRU, the sparse-time "now", and the cluster geometry.
+/// Everything a condition may look at: the subject FRU's features (the
+/// same record the classifier reads, so an assertion and the verdict on
+/// one report row see one state), the sparse-time "now", and the resolved
+/// feature parameters the record was extracted with.
 struct OnaContext {
-  const EvidenceStore& evidence;
   platform::ComponentId subject;
+  ComponentFeatures features;
   tta::RoundId now;
-  std::uint32_t component_count;
-  const fault::SpatialLayout& layout;
-  FeatureParams features;
+  FeatureParams params;
 };
 
 using OnaCondition = std::function<bool(const OnaContext&)>;

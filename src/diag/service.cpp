@@ -1,15 +1,40 @@
 #include "diag/service.hpp"
 
 #include <algorithm>
+#include <string_view>
 
 namespace decos::diag {
+namespace {
+
+constexpr std::string_view kChannelDegraded = "diagnostic-channel-degraded";
+
+const OnaEngine& standard_onas() {
+  static const OnaEngine kRules = OnaEngine::standard_rules();
+  return kRules;
+}
+
+/// A verdict served from the dissemination cache: second-hand, with no
+/// local evidence behind it.
+Diagnosis disseminated(const VerdictDelta& d) {
+  Diagnosis out;
+  out.cls = d.cls;
+  out.confidence = 0.5;
+  out.rationale = "disseminated verdict (origin position " +
+                  std::to_string(d.origin) + ", round " +
+                  std::to_string(d.round) + ")";
+  return out;
+}
+
+}  // namespace
 
 DiagnosticService::DiagnosticService(platform::System& system, SpecTable specs,
                                      fault::SpatialLayout layout, Params params)
     : system_(system), specs_(std::move(specs)),
       hardening_(params.assessor.hardening),
       hierarchy_(params.hierarchy),
-      failback_hold_(params.failback_hold) {
+      failback_hold_(params.failback_hold),
+      ona_metrics_(standard_onas().rules().size() + 1),
+      staleness_metrics_(system.component_count()) {
   // Application jobs existing now are the diagnosis subjects; everything
   // created below belongs to the diagnostic DAS.
   for (platform::JobId j = 0; j < static_cast<platform::JobId>(system_.job_count());
@@ -219,16 +244,7 @@ Diagnosis DiagnosticService::diagnose_component(
   if (!hierarchy_) return assessor().diagnose_component(c);
   const VerdictDelta* d = nullptr;
   const Assessor* a = resolve_component(c, &d);
-  if (d) {
-    Diagnosis out;
-    out.cls = d->cls;
-    out.confidence = 0.5;  // second-hand: no local evidence behind it
-    out.rationale = "disseminated verdict (origin position " +
-                    std::to_string(d->origin) + ", round " +
-                    std::to_string(d->round) + ")";
-    return out;
-  }
-  return a->diagnose_component(c);
+  return d ? disseminated(*d) : a->diagnose_component(c);
 }
 
 Diagnosis DiagnosticService::diagnose_job(platform::JobId j) const {
@@ -237,13 +253,7 @@ Diagnosis DiagnosticService::diagnose_job(platform::JobId j) const {
   const Assessor* a = resolve_component(host, nullptr);
   if (!a->ever_heard(host)) {
     if (const VerdictDelta* d = a->cached_job_delta(j)) {
-      Diagnosis out;
-      out.cls = d->cls;
-      out.confidence = 0.5;
-      out.rationale = "disseminated verdict (origin position " +
-                      std::to_string(d->origin) + ", round " +
-                      std::to_string(d->round) + ")";
-      return out;
+      return disseminated(*d);
     }
   }
   return a->diagnose_job(j);
@@ -425,103 +435,42 @@ std::size_t DiagnosticService::record_detection_latency(
   return recorded;
 }
 
-std::vector<FruReport> DiagnosticService::hierarchical_report() const {
-  // The Fig. 11 report, composed from the per-slice partial views: each
-  // component row is answered by its serving tester (local evidence
+std::vector<FruReport> DiagnosticService::report() const {
+  // Legacy and replica modes answer every row from the active assessor.
+  // The hierarchy composes the report from the per-slice partial views:
+  // each component row is answered by its serving tester (local evidence
   // first, disseminated verdict as the fallback), so no single assessor
   // ever needs the whole cluster's evidence in memory.
-  static const OnaEngine kOnaRules = OnaEngine::standard_rules();
+  const Assessor* active = hierarchy_ ? nullptr : &assessor();
+  const OnaEngine& onas = standard_onas();
   obs::Registry& metrics = system_.simulator().metrics();
   std::vector<FruReport> rows;
   for (platform::ComponentId c = 0; c < system_.component_count(); ++c) {
     const VerdictDelta* delta = nullptr;
-    const Assessor* a = resolve_component(c, &delta);
+    const Assessor& a = active ? *active : *resolve_component(c, &delta);
     FruReport row;
     row.fru = "component " + std::to_string(c);
     row.component = c;
-    row.trust = delta ? delta->trust : a->component_trust(c);
-    row.diagnosis = diagnose_component(c);
+    row.trust = delta ? delta->trust : a.component_trust(c);
+    // One feature record per row: the verdict and the assertions judge
+    // the same state.
+    const OnaContext ctx{c, a.component_features(c), a.current_round(),
+                         a.feature_params()};
+    row.diagnosis =
+        delta ? disseminated(*delta) : a.diagnose_component(c, ctx.features);
     row.action = row.diagnosis.action();
-    row.evidence_quality = delta ? 0.0 : a->evidence_quality(c);
-    row.evidence_age = a->evidence_age(c);
-    row.evidence_fresh = delta ? false : a->evidence_fresh(c);
-    const OnaContext ctx{a->evidence(), c, a->current_round(),
-                         system_.component_count(), a->classifier().layout(),
-                         FeatureParams{}};
-    for (const auto* hit : kOnaRules.evaluate(ctx)) {
+    row.evidence_quality = delta ? 0.0 : a.evidence_quality(c);
+    row.evidence_age = a.evidence_age(c);
+    row.evidence_fresh = delta ? false : a.evidence_fresh(c);
+    for (const auto* hit : onas.evaluate(ctx)) {
       row.asserted_onas.push_back(hit->name());
-      metrics
-          .counter("diag.ona_assertions", "ona=" + std::string(hit->name()))
-          .inc();
-    }
-    if (a->channel_degraded(c)) {
-      row.asserted_onas.emplace_back("diagnostic-channel-degraded");
-      metrics
-          .counter("diag.ona_assertions", "ona=diagnostic-channel-degraded")
-          .inc();
-    }
-    auto ext = external_onas_.find(c);
-    if (ext != external_onas_.end()) {
-      for (const std::string& name : ext->second) {
-        row.asserted_onas.push_back(name);
-        metrics.counter("diag.ona_assertions", "ona=" + name).inc();
-      }
-    }
-    rows.push_back(std::move(row));
-  }
-  for (platform::JobId j : subject_jobs_) {
-    const auto& job = system_.job(j);
-    const Assessor* a = resolve_component(job.host(), nullptr);
-    FruReport row;
-    row.fru = "job " + job.name() + " (j" + std::to_string(j) +
-              ") on component " + std::to_string(job.host());
-    row.component = job.host();
-    row.job = j;
-    row.trust = job_trust(j);
-    row.diagnosis = diagnose_job(j);
-    row.action = row.diagnosis.action();
-    row.evidence_quality = a->job_evidence_quality(j);
-    row.evidence_age = a->evidence_age(job.host());
-    row.evidence_fresh = a->evidence_fresh(job.host());
-    rows.push_back(std::move(row));
-  }
-  metrics.gauge("diag.hierarchy.recomputes")
-      .set(static_cast<double>(view_topo_->recomputes()));
-  return rows;
-}
-
-std::vector<FruReport> DiagnosticService::report() const {
-  if (hierarchy_) return hierarchical_report();
-  static const OnaEngine kOnaRules = OnaEngine::standard_rules();
-  const Assessor& active = assessor();
-  obs::Registry& metrics = system_.simulator().metrics();
-  const fault::SpatialLayout& layout = active.classifier().layout();
-  std::vector<FruReport> rows;
-  for (platform::ComponentId c = 0; c < system_.component_count(); ++c) {
-    FruReport row;
-    row.fru = "component " + std::to_string(c);
-    row.component = c;
-    row.trust = active.component_trust(c);
-    row.diagnosis = active.diagnose_component(c);
-    row.action = row.diagnosis.action();
-    row.evidence_quality = active.evidence_quality(c);
-    row.evidence_age = active.evidence_age(c);
-    row.evidence_fresh = active.evidence_fresh(c);
-    const OnaContext ctx{active.evidence(), c, active.current_round(),
-                         system_.component_count(), layout, FeatureParams{}};
-    for (const auto* hit : kOnaRules.evaluate(ctx)) {
-      row.asserted_onas.push_back(hit->name());
-      metrics
-          .counter("diag.ona_assertions", "ona=" + std::string(hit->name()))
-          .inc();
+      count_ona(static_cast<std::size_t>(hit - onas.rules().data()));
     }
     // Meta-ONA: the diagnostic channel itself is out of norm — the FRU's
     // agent has gone silent and this row's verdict rests on stale data.
-    if (active.channel_degraded(c)) {
-      row.asserted_onas.emplace_back("diagnostic-channel-degraded");
-      metrics
-          .counter("diag.ona_assertions", "ona=diagnostic-channel-degraded")
-          .inc();
+    if (a.channel_degraded(c)) {
+      row.asserted_onas.emplace_back(kChannelDegraded);
+      count_ona(onas.rules().size());
     }
     auto ext = external_onas_.find(c);
     if (ext != external_onas_.end()) {
@@ -530,29 +479,53 @@ std::vector<FruReport> DiagnosticService::report() const {
         metrics.counter("diag.ona_assertions", "ona=" + name).inc();
       }
     }
-    // Keep the staleness gauges tracking the *active* assessor's view, so
-    // the exported metrics survive a primary death.
-    metrics
-        .gauge("diag.evidence_staleness", "fru=c" + std::to_string(c))
-        .set(static_cast<double>(row.evidence_age));
+    if (active) {
+      // Keep the staleness gauges tracking the *active* assessor's view,
+      // so the exported metrics survive a primary death.
+      auto& gauge = staleness_metrics_[c];
+      if (!gauge) {
+        gauge = metrics.gauge("diag.evidence_staleness",
+                              "fru=c" + std::to_string(c));
+      }
+      gauge->set(static_cast<double>(row.evidence_age));
+    }
     rows.push_back(std::move(row));
   }
   for (platform::JobId j : subject_jobs_) {
     const auto& job = system_.job(j);
+    const Assessor& a =
+        active ? *active : *resolve_component(job.host(), nullptr);
     FruReport row;
     row.fru = "job " + job.name() + " (j" + std::to_string(j) +
               ") on component " + std::to_string(job.host());
     row.component = job.host();
     row.job = j;
-    row.trust = active.job_trust(j);
-    row.diagnosis = active.diagnose_job(j);
+    row.trust = active ? active->job_trust(j) : job_trust(j);
+    row.diagnosis = active ? active->diagnose_job(j) : diagnose_job(j);
     row.action = row.diagnosis.action();
-    row.evidence_quality = active.job_evidence_quality(j);
-    row.evidence_age = active.evidence_age(job.host());
-    row.evidence_fresh = active.evidence_fresh(job.host());
+    row.evidence_quality = a.job_evidence_quality(j);
+    row.evidence_age = a.evidence_age(job.host());
+    row.evidence_fresh = a.evidence_fresh(job.host());
     rows.push_back(std::move(row));
   }
+  if (hierarchy_) {
+    metrics.gauge("diag.hierarchy.recomputes")
+        .set(static_cast<double>(view_topo_->recomputes()));
+  }
   return rows;
+}
+
+void DiagnosticService::count_ona(std::size_t rule) const {
+  auto& counter = ona_metrics_[rule];
+  if (!counter) {
+    const OnaEngine& onas = standard_onas();
+    const std::string name = rule < onas.rules().size()
+                                 ? onas.rules()[rule].name()
+                                 : std::string(kChannelDegraded);
+    counter = system_.simulator().metrics().counter("diag.ona_assertions",
+                                                    "ona=" + name);
+  }
+  counter->inc();
 }
 
 }  // namespace decos::diag

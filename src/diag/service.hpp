@@ -224,7 +224,9 @@ class DiagnosticService {
   [[nodiscard]] const Assessor* resolve_component(platform::ComponentId c,
                                                   const VerdictDelta** delta)
       const;
-  [[nodiscard]] std::vector<FruReport> hierarchical_report() const;
+  /// Counts one assertion of standard rule `rule` (one past the last
+  /// rule: the diagnostic-channel-degraded meta-ONA).
+  void count_ona(std::size_t rule) const;
 
   platform::System& system_;
   SpecTable specs_;
@@ -247,6 +249,11 @@ class DiagnosticService {
   mutable sim::SimTime failback_candidate_since_{};
   mutable std::uint64_t failovers_ = 0;
   mutable std::uint64_t failbacks_ = 0;
+  // Metric handles bound on first use, so a series appears only once it
+  // has a value: diag.ona_assertions per standard rule (+ the channel
+  // meta-ONA) and diag.evidence_staleness per component.
+  mutable std::vector<std::optional<obs::Counter>> ona_metrics_;
+  mutable std::vector<std::optional<obs::Gauge>> staleness_metrics_;
 };
 
 }  // namespace decos::diag

@@ -1,43 +1,33 @@
 #include "diag/summary.hpp"
 
 #include <cmath>
+#include <limits>
 
 namespace decos::diag {
 
-EvidenceSummary::EvidenceSummary(const EvidenceStore* store, FeatureParams fp,
-                                 double alpha_decay,
+EvidenceSummary::EvidenceSummary(FeatureParams fp, double alpha_decay,
                                  std::uint32_t component_count,
-                                 fault::SpatialLayout layout,
-                                 tta::RoundId fold_lag)
-    : store_(store),
-      fp_(fp),
+                                 fault::SpatialLayout layout)
+    : fp_(fp),
       decay_(alpha_decay),
       component_count_(component_count),
-      layout_(std::move(layout)),
-      lag_(fold_lag),
-      folds_(component_count) {
-  // A closed episode's correlation window [first - delta, last + delta]
-  // must be final at close time; delta < gap guarantees it. Outside that
-  // regime the summary refuses to fold and every read walks the detail
-  // (correct, just not accelerated).
-  if (fp_.correlation_delta >= fp_.episode_gap) lag_ = 0;
-}
+      layout_(std::move(layout)) {}
 
-bool EvidenceSummary::credible_round(platform::ComponentId c, tta::RoundId r,
+bool EvidenceSummary::credible_round(const EvidenceStore& ev, tta::RoundId r,
                                      const SubjectRound& sr) const {
   std::uint32_t credible = 0;
   for (platform::ComponentId o : sr.observers) {
-    const auto& reported = store_->reported_by(o);
+    const auto& reported = ev.reported_by(o);
     auto it = reported.find(r);
     const std::size_t spread =
         it == reported.end() ? 0 : it->second.senders_reported.size();
     if (spread < fp_.sender_spread) ++credible;
   }
-  (void)c;
   return credible >= fp_.observer_quorum;
 }
 
-bool EvidenceSummary::episode_correlated(platform::ComponentId c,
+bool EvidenceSummary::episode_correlated(const EvidenceStore& ev,
+                                         platform::ComponentId c,
                                          const Episode& e) const {
   for (platform::ComponentId o = 0; o < component_count_; ++o) {
     if (o == c) continue;
@@ -45,7 +35,7 @@ bool EvidenceSummary::episode_correlated(platform::ComponentId c,
         fp_.spatial_radius) {
       continue;
     }
-    const auto& reported = store_->reported_by(o);
+    const auto& reported = ev.reported_by(o);
     auto it = reported.lower_bound(
         e.first > fp_.correlation_delta ? e.first - fp_.correlation_delta : 0);
     for (; it != reported.end() &&
@@ -57,112 +47,15 @@ bool EvidenceSummary::episode_correlated(platform::ComponentId c,
   return false;
 }
 
-void EvidenceSummary::fold_component(platform::ComponentId c, tta::RoundId from,
-                                     tta::RoundId to) const {
-  ComponentFold& f = folds_[c];
-
+void EvidenceSummary::walk(const EvidenceStore& ev, platform::ComponentId c,
+                           tta::RoundId from, tta::RoundId to,
+                           tta::RoundId alpha_at, ComponentFeatures& out,
+                           double& alpha) const {
   // Sender side: credible rounds, verdict totals and the alpha
   // accumulator advance together over one walk of the subject detail.
-  double tail_alpha = 0.0;
-  const auto& about = store_->about(c);
-  for (auto it = about.upper_bound(from); it != about.end() && it->first <= to;
+  const auto& about = ev.about(c);
+  for (auto it = about.lower_bound(from); it != about.end() && it->first < to;
        ++it) {
-    const tta::RoundId r = it->first;
-    const SubjectRound& sr = it->second;
-    if (sr.observers.size() >= fp_.observer_quorum) {
-      ++f.totals.quorum_rounds;
-      f.totals.crc += sr.crc;
-      f.totals.timing += sr.timing;
-      f.totals.omission += sr.omission;
-    }
-    if (!credible_round(c, r, sr)) continue;
-    tail_alpha += std::pow(decay_, static_cast<double>(to - r));
-    if (!f.sender_eps.empty() &&
-        r <= f.sender_eps.back().last + fp_.episode_gap) {
-      f.sender_eps.back().last = r;
-      ++f.sender_eps.back().rounds;
-    } else {
-      f.sender_eps.push_back(Episode{r, r, 1});
-    }
-  }
-  f.alpha_at_horizon =
-      f.alpha_at_horizon * std::pow(decay_, static_cast<double>(to - from)) +
-      tail_alpha;
-
-  // Observer side.
-  const auto& reported = store_->reported_by(c);
-  for (auto it = reported.upper_bound(from);
-       it != reported.end() && it->first <= to; ++it) {
-    if (it->second.senders_reported.size() < fp_.sender_spread) continue;
-    const tta::RoundId r = it->first;
-    if (!f.observer_eps.empty() &&
-        r <= f.observer_eps.back().last + fp_.episode_gap) {
-      f.observer_eps.back().last = r;
-      ++f.observer_eps.back().rounds;
-    } else {
-      f.observer_eps.push_back(Episode{r, r, 1});
-    }
-  }
-
-  // Close every episode that no round after `to` can extend, and freeze
-  // the correlation verdict of newly closed observer episodes — their
-  // correlation window ends before `to`, so the data it reads is final.
-  while (f.sender_closed < f.sender_eps.size() &&
-         f.sender_eps[f.sender_closed].last + fp_.episode_gap <= to) {
-    ++f.sender_closed;
-  }
-  while (f.observer_closed < f.observer_eps.size() &&
-         f.observer_eps[f.observer_closed].last + fp_.episode_gap <= to) {
-    f.observer_hit.push_back(
-        episode_correlated(c, f.observer_eps[f.observer_closed]));
-    ++f.observer_closed;
-  }
-}
-
-void EvidenceSummary::fold(tta::RoundId now) {
-  if (!enabled() || lag_ == 0) return;
-  if (dirty_) {
-    rebuild(now);
-    return;
-  }
-  const tta::RoundId h1 = now > lag_ ? now - lag_ : 0;
-  if (h1 <= horizon_) return;
-  for (platform::ComponentId c = 0; c < component_count_; ++c) {
-    fold_component(c, horizon_, h1);
-  }
-  horizon_ = h1;
-}
-
-void EvidenceSummary::rebuild(tta::RoundId now) const {
-  folds_.assign(component_count_, ComponentFold{});
-  horizon_ = 0;
-  dirty_ = false;
-  ++rebuilds_;
-  if (lag_ == 0) return;
-  const tta::RoundId h1 = now > lag_ ? now - lag_ : 0;
-  if (h1 == 0) return;
-  for (platform::ComponentId c = 0; c < component_count_; ++c) {
-    fold_component(c, 0, h1);
-  }
-  horizon_ = h1;
-}
-
-void EvidenceSummary::component_features(platform::ComponentId c,
-                                         tta::RoundId now,
-                                         ComponentFeatures& out) const {
-  if (dirty_) rebuild(now);
-  const ComponentFold& f = folds_[c];
-  out.sender_eps = f.sender_eps;
-  out.observer_eps = f.observer_eps;
-  out.totals = f.totals;
-  out.alpha = f.alpha_at_horizon *
-              std::pow(decay_, static_cast<double>(now - horizon_));
-
-  // Exact tail walk over (horizon, now] — the short, still-mutable recent
-  // window. The folded lists end in (at most one) open episode each,
-  // which the tail rounds may extend exactly like episodes_of would.
-  const auto& about = store_->about(c);
-  for (auto it = about.upper_bound(horizon_); it != about.end(); ++it) {
     const tta::RoundId r = it->first;
     const SubjectRound& sr = it->second;
     if (sr.observers.size() >= fp_.observer_quorum) {
@@ -171,36 +64,74 @@ void EvidenceSummary::component_features(platform::ComponentId c,
       out.totals.timing += sr.timing;
       out.totals.omission += sr.omission;
     }
-    if (!credible_round(c, r, sr)) continue;
-    if (r <= now) {
-      out.alpha += std::pow(decay_, static_cast<double>(now - r));
+    if (!credible_round(ev, r, sr)) continue;
+    if (r <= alpha_at) {
+      alpha += std::pow(decay_, static_cast<double>(alpha_at - r));
     }
-    if (!out.sender_eps.empty() &&
-        r <= out.sender_eps.back().last + fp_.episode_gap) {
-      out.sender_eps.back().last = r;
-      ++out.sender_eps.back().rounds;
-    } else {
-      out.sender_eps.push_back(Episode{r, r, 1});
-    }
-  }
-  const auto& reported = store_->reported_by(c);
-  for (auto it = reported.upper_bound(horizon_); it != reported.end(); ++it) {
-    if (it->second.senders_reported.size() < fp_.sender_spread) continue;
-    const tta::RoundId r = it->first;
-    if (!out.observer_eps.empty() &&
-        r <= out.observer_eps.back().last + fp_.episode_gap) {
-      out.observer_eps.back().last = r;
-      ++out.observer_eps.back().rounds;
-    } else {
-      out.observer_eps.push_back(Episode{r, r, 1});
-    }
+    extend_episodes(out.sender_eps, r, fp_.episode_gap);
   }
 
+  // Observer side.
+  const auto& reported = ev.reported_by(c);
+  for (auto it = reported.lower_bound(from);
+       it != reported.end() && it->first < to; ++it) {
+    if (it->second.senders_reported.size() >= fp_.sender_spread) {
+      extend_episodes(out.observer_eps, it->first, fp_.episode_gap);
+    }
+  }
+}
+
+void EvidenceSummary::fold(const EvidenceStore& ev, tta::RoundId now) {
+  if (fp_.correlation_delta >= fp_.episode_gap) return;
+  if (dirty_) {
+    folds_.clear();
+    horizon_ = 0;
+    dirty_ = false;
+    ++rebuilds_;
+  }
+  const tta::RoundId to = now > kFoldLag ? now - kFoldLag + 1 : 0;
+  if (to <= horizon_) return;
+  if (folds_.empty()) folds_.resize(component_count_);
+  for (platform::ComponentId c = 0; c < component_count_; ++c) {
+    ComponentFold& f = folds_[c];
+    ComponentFeatures& acc = f.features;
+    double tail_alpha = 0.0;
+    walk(ev, c, horizon_, to, to, acc, tail_alpha);
+    acc.alpha =
+        acc.alpha * std::pow(decay_, static_cast<double>(to - horizon_)) +
+        tail_alpha;
+    // Close every observer episode no round from `to` on can extend, and
+    // freeze its correlation verdict: its window ends before `to`, so the
+    // data it reads is final.
+    while (f.observer_closed < acc.observer_eps.size() &&
+           acc.observer_eps[f.observer_closed].last + fp_.episode_gap < to) {
+      acc.observer_hit.push_back(
+          episode_correlated(ev, c, acc.observer_eps[f.observer_closed]));
+      ++f.observer_closed;
+    }
+  }
+  horizon_ = to;
+}
+
+void EvidenceSummary::component_features(const EvidenceStore& ev,
+                                         platform::ComponentId c,
+                                         tta::RoundId now,
+                                         ComponentFeatures& out) const {
+  static const ComponentFold kUnfolded{};
+  const bool folded = !dirty_ && !folds_.empty();
+  const ComponentFold& f = folded ? folds_[c] : kUnfolded;
+  const tta::RoundId from = folded ? horizon_ : 0;
+  out = f.features;
+  out.alpha =
+      f.features.alpha * std::pow(decay_, static_cast<double>(now - from));
+  // The folded lists end in (at most one) open episode each, which the
+  // tail rounds extend exactly as an unfolded walk would.
+  walk(ev, c, from, std::numeric_limits<tta::RoundId>::max(), now, out,
+       out.alpha);
   // Correlation verdicts: frozen for closed episodes, judged live for the
-  // open/tail ones (whose windows still move).
-  out.observer_hit.assign(f.observer_hit.begin(), f.observer_hit.end());
+  // open and tail ones, whose windows still move.
   for (std::size_t i = f.observer_closed; i < out.observer_eps.size(); ++i) {
-    out.observer_hit.push_back(episode_correlated(c, out.observer_eps[i]));
+    out.observer_hit.push_back(episode_correlated(ev, c, out.observer_eps[i]));
   }
 }
 

@@ -1,29 +1,29 @@
-// Incremental per-round evidence summaries — classification cost becomes
-// independent of the evidence window.
+// The evidence summary: the one extractor of component features.
 //
-// The component classifier's feature walks (credible sender rounds,
-// observer rounds, verdict totals, alpha score) re-scan the full per-round
-// detail of the evidence store on every classify call. That is O(window)
-// per FRU per report — tolerable at N = 7, ruinous for always-on
-// classification in large clusters.
+// Every consumer of a component's time/space/value features — the rule
+// classifier, each Out-of-Norm Assertion, the maintenance report — reads
+// the ComponentFeatures record this class produces. Deriving them from
+// the per-round detail of the evidence store is O(window) per FRU per
+// read; the summary makes the steady-state cost independent of the window.
 //
-// The summary maintains a *fold horizon* h: rounds at or before h are
-// folded once into per-component state (closed episodes with their
-// spatial-correlation verdicts, verdict totals, the alpha accumulator at
-// h, the still-open trailing episode) and never rescanned. A classify
-// call merges the folded state with an exact walk over the short tail
-// (h, now] — O(tail + episodes) instead of O(window).
+// It maintains a *fold horizon* h: rounds before h are folded once into
+// per-component state (episodes, the spatial-correlation verdicts of
+// closed observer episodes, verdict totals, the alpha accumulator valued
+// at h) and never rescanned. A read merges the folded state with a walk
+// over the short tail [h, now] — O(tail + episodes) instead of O(window).
+// A summary that has folded nothing (h = 0) reads by walking the whole
+// store, so a one-off classification of any store is the same code path.
 //
 // Correctness hinges on finality: a round is folded only once no future
 // ingest can still mention it. The fold lag therefore exceeds the oldest
 // observation the wire format can deliver (the symptom age field saturates
 // at 255 rounds) plus the agents' largest resend backoff. Should an older
-// observation arrive anyway — or the store prune folded detail — the
-// summary marks itself dirty and rebuilds from the detail, which is
-// exactly the legacy computation. Folded features are bit-identical to
-// the legacy walks for integer-valued features (episodes, totals); the
-// alpha accumulator folds multiplicatively and may differ from the exact
-// sum in the last ulp.
+// observation arrive anyway — or the store prune detail the tail still
+// needs — the summary marks itself dirty: reads walk the whole store until
+// the next fold() rebuilds. Folded features equal the unfolded walk
+// exactly for the integer-valued features (episodes, totals, correlation
+// verdicts); the alpha accumulator folds multiplicatively and may differ
+// from the unfolded sum in the last ulp.
 #pragma once
 
 #include <cstdint>
@@ -38,95 +38,83 @@ namespace decos::diag {
 
 class EvidenceSummary {
  public:
+  /// Rounds between the latest fold's `now` and the fold horizon.
+  static constexpr tta::RoundId kFoldLag = 320;
+
   EvidenceSummary() = default;
 
-  /// `store` is not owned and must outlive the summary (or be re-pointed
-  /// with rebind after a wholesale copy). `fp` must be the fully resolved
-  /// feature parameters the classifier will use — sender_spread already
-  /// scaled to the component count. Requires correlation_delta <
-  /// episode_gap (the defaults), so a closed episode's correlation window
-  /// is final at close time.
-  EvidenceSummary(const EvidenceStore* store, FeatureParams fp,
-                  double alpha_decay, std::uint32_t component_count,
-                  fault::SpatialLayout layout, tta::RoundId fold_lag = 320);
+  /// `fp` must be the fully resolved feature parameters — sender_spread
+  /// already scaled to the component count (Classifier::resolved_features).
+  /// Folding requires correlation_delta < episode_gap (the defaults), so a
+  /// closed episode's correlation window is final at close time; outside
+  /// that regime fold() is a no-op and every read walks the whole store.
+  EvidenceSummary(FeatureParams fp, double alpha_decay,
+                  std::uint32_t component_count, fault::SpatialLayout layout);
 
-  [[nodiscard]] bool enabled() const { return store_ != nullptr; }
   [[nodiscard]] const FeatureParams& feature_params() const { return fp_; }
-  [[nodiscard]] double alpha_decay() const { return decay_; }
+  /// First round not yet folded (0 = nothing folded).
   [[nodiscard]] tta::RoundId horizon() const { return horizon_; }
   [[nodiscard]] std::uint64_t rebuilds() const { return rebuilds_; }
 
-  /// After the owning assessor copied another assessor's store (wholesale
-  /// reconciliation adoption), point the summary at the copy.
-  void rebind(const EvidenceStore* store) { store_ = store; }
-
-  /// Ingest-side hook: observations at or before the fold horizon violate
-  /// the finality assumption and force a rebuild on next access.
+  /// Ingest-side hook: an observation before the fold horizon violates the
+  /// finality assumption and forces a rebuild.
   void note_ingest(const Symptom& s) {
-    if (s.round <= horizon_) dirty_ = true;
+    if (s.round < horizon_) dirty_ = true;
   }
-  /// Prune-side hook: dropping folded detail invalidates nothing (folded
-  /// state no longer reads it), but detail *newer* than the horizon must
-  /// survive for the tail walk.
+  /// Prune-side hook (the store dropped detail before `cutoff`): dropping
+  /// folded detail invalidates nothing, since folded state no longer reads
+  /// it, but the tail walk needs every round from the horizon on.
   void note_prune(tta::RoundId cutoff) {
     if (cutoff > horizon_) dirty_ = true;
   }
 
-  /// Advances the fold horizon to now - lag. Call once per assessment
-  /// round; amortised cost is O(1) per symptomatic round folded.
-  void fold(tta::RoundId now);
+  /// Advances the fold horizon to now - kFoldLag + 1 (rebuilding first if
+  /// dirty). Call once per assessment round with the store the summary
+  /// describes; amortised cost is O(1) per symptomatic round folded.
+  void fold(const EvidenceStore& ev, tta::RoundId now);
 
-  /// The component-level features classify_component needs, folded state
-  /// merged with an exact walk over (horizon, now].
-  struct ComponentFeatures {
-    std::vector<Episode> sender_eps;
-    std::vector<Episode> observer_eps;
-    /// Per observer episode: coincides (within correlation_delta) with an
-    /// observer-round of a spatially proximate component.
-    std::vector<bool> observer_hit;
-    VerdictTotals totals;
-    double alpha = 0.0;
-  };
-  void component_features(platform::ComponentId c, tta::RoundId now,
-                          ComponentFeatures& out) const;
+  /// The features of component `c` at `now`: folded state merged with a
+  /// walk of `ev` over [horizon, now]. `now` must not precede the latest
+  /// fold's `now`.
+  void component_features(const EvidenceStore& ev, platform::ComponentId c,
+                          tta::RoundId now, ComponentFeatures& out) const;
 
  private:
   struct ComponentFold {
-    /// Episodes of credible sender rounds; the last entry may still be
-    /// open (extendable by tail rounds).
-    std::vector<Episode> sender_eps;
-    /// Episodes of observer rounds, with the correlation verdict for each
-    /// *closed* episode (the open one is judged at read time).
-    std::vector<Episode> observer_eps;
-    std::vector<bool> observer_hit;
-    /// How many leading entries of each episode list are closed.
-    std::size_t sender_closed = 0;
+    /// Episodes and totals of the folded rounds; the last episode of each
+    /// list may still be open (extendable by tail rounds). observer_hit
+    /// holds the verdicts of the closed observer episodes only, and alpha
+    /// is valued at the horizon.
+    ComponentFeatures features;
+    /// How many leading observer episodes are closed.
     std::size_t observer_closed = 0;
-    VerdictTotals totals;
-    /// Alpha accumulator valued at the fold horizon.
-    double alpha_at_horizon = 0.0;
   };
 
-  /// True when >= quorum credible observers reported `c` in round `r`.
-  [[nodiscard]] bool credible_round(platform::ComponentId c, tta::RoundId r,
+  /// True when >= quorum credible observers reported the subject of `sr`
+  /// in round `r`.
+  [[nodiscard]] bool credible_round(const EvidenceStore& ev, tta::RoundId r,
                                     const SubjectRound& sr) const;
-  /// Legacy spatial-correlation test for one episode of `c`.
-  [[nodiscard]] bool episode_correlated(platform::ComponentId c,
+  /// Whether observer episode `e` of `c` coincides with receive-path
+  /// trouble at a spatially proximate component.
+  [[nodiscard]] bool episode_correlated(const EvidenceStore& ev,
+                                        platform::ComponentId c,
                                         const Episode& e) const;
-  void fold_component(platform::ComponentId c, tta::RoundId from,
-                      tta::RoundId to) const;
-  void rebuild(tta::RoundId now) const;
+  /// Adds rounds [from, to) of `c`'s detail to the episodes and totals of
+  /// `out`, and each credible round r <= alpha_at to `alpha` as
+  /// decay^(alpha_at - r).
+  void walk(const EvidenceStore& ev, platform::ComponentId c,
+            tta::RoundId from, tta::RoundId to, tta::RoundId alpha_at,
+            ComponentFeatures& out, double& alpha) const;
 
-  const EvidenceStore* store_ = nullptr;
   FeatureParams fp_{};
   double decay_ = 0.999;
   std::uint32_t component_count_ = 0;
   fault::SpatialLayout layout_{};
-  tta::RoundId lag_ = 320;
-  mutable tta::RoundId horizon_ = 0;
-  mutable bool dirty_ = false;
-  mutable std::uint64_t rebuilds_ = 0;
-  mutable std::vector<ComponentFold> folds_;
+  tta::RoundId horizon_ = 0;
+  bool dirty_ = false;
+  std::uint64_t rebuilds_ = 0;
+  /// Empty until the first fold.
+  std::vector<ComponentFold> folds_;
 };
 
 }  // namespace decos::diag

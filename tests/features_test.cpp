@@ -1,11 +1,14 @@
-// Direct unit tests of the feature-extraction layer shared by the
-// classifier and the ONA library: credibility filtering, verdict totals,
-// spatial correlation geometry, drift-bucket tests, and the alpha score.
+// Direct unit tests of the feature extraction shared by the classifier
+// and the ONA library: credibility filtering, verdict totals, spatial
+// correlation geometry, drift-bucket tests, and the alpha score. The
+// component features are read through an EvidenceSummary that has folded
+// nothing — the path every one-off classification takes.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "diag/features.hpp"
+#include "diag/summary.hpp"
 
 namespace decos::diag {
 namespace {
@@ -21,6 +24,15 @@ Symptom transport(tta::RoundId round, SymptomType type,
   return s;
 }
 
+ComponentFeatures features_of(const EvidenceStore& ev, platform::ComponentId c,
+                              const FeatureParams& p, tta::RoundId now = 0,
+                              double decay = 0.999) {
+  ComponentFeatures f;
+  EvidenceSummary(p, decay, 5, fault::SpatialLayout::linear(5))
+      .component_features(ev, c, now, f);
+  return f;
+}
+
 // --- credibility filter -----------------------------------------------------------
 
 TEST(Features, SelfSuspectObserverDoesNotCountTowardQuorum) {
@@ -34,10 +46,12 @@ TEST(Features, SelfSuspectObserverDoesNotCountTowardQuorum) {
   p.observer_quorum = 2;
   p.sender_spread = 2;
   // Subject 0 has observers {1 (suspect), 3 (credible)}: 1 credible < 2.
-  EXPECT_TRUE(credible_sender_rounds(ev, 0, p).empty());
+  EXPECT_TRUE(features_of(ev, 0, p).sender_eps.empty());
   // Add a second credible observer.
   ev.ingest(transport(10, SymptomType::kSlotCrcError, 4, 0));
-  EXPECT_EQ(credible_sender_rounds(ev, 0, p).size(), 1u);
+  const auto eps = features_of(ev, 0, p).sender_eps;
+  ASSERT_EQ(eps.size(), 1u);
+  EXPECT_EQ(eps[0].rounds, 1u);
 }
 
 TEST(Features, ObserverRoundsNeedSpread) {
@@ -45,9 +59,11 @@ TEST(Features, ObserverRoundsNeedSpread) {
   ev.ingest(transport(5, SymptomType::kSlotOmission, 2, 0));
   FeatureParams p;
   p.sender_spread = 2;
-  EXPECT_TRUE(observer_rounds(ev, 2, p).empty());  // only one sender flagged
+  EXPECT_TRUE(features_of(ev, 2, p).observer_eps.empty());  // one sender
   ev.ingest(transport(5, SymptomType::kSlotOmission, 2, 1));
-  EXPECT_EQ(observer_rounds(ev, 2, p).size(), 1u);
+  const auto eps = features_of(ev, 2, p).observer_eps;
+  ASSERT_EQ(eps.size(), 1u);
+  EXPECT_EQ(eps[0].rounds, 1u);
 }
 
 // --- verdict totals -----------------------------------------------------------------
@@ -59,7 +75,7 @@ TEST(Features, VerdictTotalsCountOnlyQuorumRounds) {
   ev.ingest(transport(1, SymptomType::kSlotOmission, 2, 0));
   ev.ingest(transport(2, SymptomType::kSlotTimingError, 1, 0));
   FeatureParams p;
-  const auto vt = verdict_totals(ev, 0, p);
+  const auto vt = features_of(ev, 0, p).totals;
   EXPECT_EQ(vt.quorum_rounds, 1u);
   EXPECT_EQ(vt.crc, 1u);
   EXPECT_EQ(vt.omission, 1u);
@@ -73,7 +89,6 @@ TEST(Features, SpatialCorrelationRespectsRadiusAndDelta) {
   p.sender_spread = 2;
   p.spatial_radius = 1.5;
   p.correlation_delta = 5;
-  const auto layout = fault::SpatialLayout::linear(5);
 
   auto make_ev = [&](platform::ComponentId other, tta::RoundId other_round) {
     EvidenceStore ev;
@@ -91,20 +106,17 @@ TEST(Features, SpatialCorrelationRespectsRadiusAndDelta) {
   // Neighbour (distance 1) within delta: correlated.
   {
     const auto ev = make_ev(2, 104);
-    const auto eps = observer_episodes(ev, 1, p);
-    EXPECT_TRUE(spatially_correlated(ev, 1, eps, layout, 5, p));
+    EXPECT_TRUE(features_of(ev, 1, p).observers_correlated());
   }
   // Neighbour but far in time: not correlated.
   {
     const auto ev = make_ev(2, 300);
-    const auto eps = observer_episodes(ev, 1, p);
-    EXPECT_FALSE(spatially_correlated(ev, 1, eps, layout, 5, p));
+    EXPECT_FALSE(features_of(ev, 1, p).observers_correlated());
   }
   // Coincident in time but spatially remote (distance 3): not correlated.
   {
     const auto ev = make_ev(4, 101);
-    const auto eps = observer_episodes(ev, 1, p);
-    EXPECT_FALSE(spatially_correlated(ev, 1, eps, layout, 5, p));
+    EXPECT_FALSE(features_of(ev, 1, p).observers_correlated());
   }
 }
 
@@ -144,14 +156,14 @@ TEST(Features, AlphaScoreDecaysAndAccumulates) {
   // One old symptomatic round: nearly fully decayed after 5000 rounds.
   ev.ingest(transport(100, SymptomType::kSlotCrcError, 1, 0));
   ev.ingest(transport(100, SymptomType::kSlotCrcError, 2, 0));
-  EXPECT_LT(alpha_score(ev, 0, 5100, p, 0.999), 0.01);
+  EXPECT_LT(features_of(ev, 0, p, 5100).alpha, 0.01);
 
   // A dense recent run accumulates toward its length.
   for (tta::RoundId r = 5000; r < 5050; ++r) {
     ev.ingest(transport(r, SymptomType::kSlotCrcError, 1, 0));
     ev.ingest(transport(r, SymptomType::kSlotCrcError, 2, 0));
   }
-  const double a = alpha_score(ev, 0, 5050, p, 0.999);
+  const double a = features_of(ev, 0, p, 5050).alpha;
   EXPECT_GT(a, 45.0);
   EXPECT_LT(a, 51.0);
 }
@@ -161,7 +173,9 @@ TEST(Features, AlphaScoreIgnoresFutureRounds) {
   EvidenceStore ev;
   ev.ingest(transport(200, SymptomType::kSlotCrcError, 1, 0));
   ev.ingest(transport(200, SymptomType::kSlotCrcError, 2, 0));
-  EXPECT_DOUBLE_EQ(alpha_score(ev, 0, 100, p, 0.999), 0.0);
+  EXPECT_DOUBLE_EQ(features_of(ev, 0, p, 100).alpha, 0.0);
+  // The round of `now` itself counts with weight decay^0.
+  EXPECT_DOUBLE_EQ(features_of(ev, 0, p, 200).alpha, 1.0);
 }
 
 }  // namespace

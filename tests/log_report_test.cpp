@@ -170,9 +170,9 @@ TEST(TechnicianReport, OnaFindingsRendered) {
                                 sim::milliseconds(10));
   rig.run(sim::seconds(5));
   const auto engine = OnaEngine::standard_rules();
-  const auto layout = fault::SpatialLayout::linear(5);
-  const OnaContext ctx{rig.diag().assessor().evidence(), 1, rig.round(), 5,
-                       layout, FeatureParams{}};
+  const auto& assessor = rig.diag().assessor();
+  const OnaContext ctx{1, assessor.component_features(1), rig.round(),
+                       assessor.feature_params()};
   const auto text = analysis::render_ona_findings(engine, ctx);
   EXPECT_NE(text.find("wearout"), std::string::npos);
   EXPECT_NE(text.find("component-internal"), std::string::npos);

@@ -4,8 +4,12 @@
 // ONAs and the rule classifier on live end-to-end scenarios.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "diag/classifier.hpp"
 #include "diag/ona.hpp"
+#include "diag/summary.hpp"
 #include "scenario/fig10.hpp"
 
 namespace decos::diag {
@@ -40,7 +44,18 @@ EvidenceStore synthetic_sender_evidence(platform::ComponentId subject,
 
 OnaContext make_ctx(const EvidenceStore& ev, platform::ComponentId subject,
                     tta::RoundId now, const fault::SpatialLayout& layout) {
-  return OnaContext{ev, subject, now, 5, layout, FeatureParams{}};
+  OnaContext ctx{subject, {}, now, FeatureParams{}};
+  EvidenceSummary(ctx.params, 0.999, 5, layout)
+      .component_features(ev, subject, now, ctx.features);
+  return ctx;
+}
+
+/// The live assessor's context for `subject`: the record its verdict uses.
+OnaContext live_ctx(scenario::Fig10System& rig,
+                    platform::ComponentId subject) {
+  const Assessor& a = rig.diag().assessor();
+  return OnaContext{subject, a.component_features(subject), a.current_round(),
+                    a.feature_params()};
 }
 
 TEST(OnaConditions, SenderEpisodeCountAtLeast) {
@@ -163,9 +178,7 @@ TEST(OnaLive, WearoutScenarioTriggersWearoutOna) {
                                 sim::milliseconds(10));
   rig.run(sim::seconds(5));
   const auto engine = OnaEngine::standard_rules();
-  const auto layout = fault::SpatialLayout::linear(5);
-  const OnaContext ctx{rig.diag().assessor().evidence(), 1, rig.round(), 5,
-                       layout, FeatureParams{}};
+  const OnaContext ctx = live_ctx(rig, 1);
   bool wearout = false;
   for (const auto* h : engine.evaluate(ctx)) {
     wearout |= (h->name() == "wearout");
@@ -182,9 +195,7 @@ TEST(OnaLive, EmiScenarioTriggersMassiveTransientOna) {
                                   sim::milliseconds(12));
   rig.run(sim::seconds(3));
   const auto engine = OnaEngine::standard_rules();
-  const auto layout = fault::SpatialLayout::linear(5);
-  const OnaContext ctx{rig.diag().assessor().evidence(), 1, rig.round(), 5,
-                       layout, FeatureParams{}};
+  const OnaContext ctx = live_ctx(rig, 1);
   bool massive = false;
   for (const auto* h : engine.evaluate(ctx)) {
     massive |= (h->name() == "massive-transient");
@@ -199,14 +210,43 @@ TEST(OnaLive, ConnectorScenarioTriggersConnectorOna) {
                                         sim::milliseconds(10), 0.8);
   rig.run(sim::seconds(5));
   const auto engine = OnaEngine::standard_rules();
-  const auto layout = fault::SpatialLayout::linear(5);
-  const OnaContext ctx{rig.diag().assessor().evidence(), 3, rig.round(), 5,
-                       layout, FeatureParams{}};
+  const OnaContext ctx = live_ctx(rig, 3);
   bool connector = false;
   for (const auto* h : engine.evaluate(ctx)) {
     connector |= (h->name() == "connector");
   }
   EXPECT_TRUE(connector);
+}
+
+TEST(OnaLive, ReportRowJudgesOnasOnTheVerdictsFeatures) {
+  // E13a: dead component 3 plus wearing component 1, assessor on host 4.
+  // The ONAs must read the record the verdict reads — sender_spread
+  // auto-scaled to the cluster. Judged on a fixed bar of 2 instead, every
+  // healthy observer (each flags both faulty senders) was discredited as
+  // a broken receive path ("connector"), and neither fault's own pattern
+  // was asserted.
+  scenario::Fig10Options opts;
+  opts.seed = 1301;
+  opts.assessor_host = 4;
+  scenario::Fig10System rig(opts);
+  rig.injector().inject_permanent_failure(
+      3, sim::SimTime{0} + sim::milliseconds(300));
+  rig.injector().inject_wearout(1, sim::SimTime{0} + sim::milliseconds(600),
+                                sim::milliseconds(500), 0.7,
+                                sim::milliseconds(10));
+  rig.run(sim::seconds(5));
+  const auto rows = rig.diag().report();
+  auto asserted = [&](platform::ComponentId c, const std::string& ona) {
+    const auto& onas = rows.at(c).asserted_onas;
+    return std::find(onas.begin(), onas.end(), ona) != onas.end();
+  };
+  for (platform::ComponentId c : {0u, 2u, 4u}) {
+    EXPECT_FALSE(asserted(c, "connector")) << "component " << c;
+  }
+  EXPECT_TRUE(asserted(1, "wearout"));
+  EXPECT_TRUE(asserted(3, "permanent-silence"));
+  EXPECT_EQ(rows.at(1).diagnosis.cls, fault::FaultClass::kComponentInternal);
+  EXPECT_EQ(rows.at(3).diagnosis.cls, fault::FaultClass::kComponentInternal);
 }
 
 }  // namespace
