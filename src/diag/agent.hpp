@@ -37,43 +37,23 @@ namespace decos::diag {
 
 class Agent {
  public:
-  struct Params {
-    /// Master switch for the channel hardening (heartbeats + resends).
-    /// Off reproduces the pre-hardening agent, for ablation runs.
-    bool hardening = true;
-    /// Rounds between heartbeats on the symptom port.
-    tta::RoundId heartbeat_period = 8;
-    /// Recently sent symptoms retained for retransmission.
-    std::size_t resend_buffer = 32;
-    /// Retransmissions per symptom beyond the first send.
-    std::uint32_t max_resends = 2;
-    /// Rounds until the first retransmission; doubles per resend.
-    tta::RoundId resend_backoff = 8;
-  };
-
   /// Creates the agent job on `component` inside `diag_das` and installs
   /// all hooks. `assessors` are the jobs subscribed to this agent's
-  /// symptom port.
+  /// symptom port. `hardening` switches the channel hardening (heartbeats
+  /// + resends); off reproduces the pre-hardening agent, for ablation runs.
   Agent(platform::System& system, platform::DasId diag_das,
         platform::ComponentId component, const SpecTable& specs,
-        const std::vector<platform::JobId>& assessors, Params params);
-  /// Default-parameter convenience (hardening on).
-  Agent(platform::System& system, platform::DasId diag_das,
-        platform::ComponentId component, const SpecTable& specs,
-        const std::vector<platform::JobId>& assessors);
+        const std::vector<platform::JobId>& assessors, bool hardening);
 
   [[nodiscard]] platform::ComponentId component() const { return component_; }
   [[nodiscard]] platform::JobId job_id() const { return job_id_; }
   [[nodiscard]] platform::PortId symptom_port() const { return port_; }
 
-  /// Symptoms detected but not yet flushed (inspection/testing).
-  [[nodiscard]] std::size_t backlog() const { return pending_.size(); }
   [[nodiscard]] std::uint64_t symptoms_detected() const { return detected_; }
   /// Symptoms dropped from the bounded backlog (evidence loss at source).
   [[nodiscard]] std::uint64_t symptoms_dropped() const { return dropped_; }
   [[nodiscard]] std::uint64_t heartbeats_sent() const { return heartbeats_; }
   [[nodiscard]] std::uint64_t retransmissions() const { return resent_; }
-  [[nodiscard]] const Params& params() const { return p_; }
 
   /// Attaches the fault-point registry (not owned; nullptr detaches): the
   /// heartbeat-send and resend-push edges become enumerable injection
@@ -106,7 +86,7 @@ class Agent {
   platform::System& system_;
   platform::ComponentId component_;
   const SpecTable& specs_;
-  Params p_;
+  bool hardening_;
   obs::ProvenanceTracer* prov_ = nullptr;
   fault::FaultPointRegistry* fp_ = nullptr;
   /// Cached span entity label ("agent.N") so the hot path never builds it.

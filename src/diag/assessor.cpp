@@ -5,22 +5,49 @@
 #include <string>
 
 namespace decos::diag {
+namespace {
+
+/// Trust of a fresh (or freshly repaired) FRU.
+constexpr double kInitialTrust = 1.0;
+/// Trust recovery per healthy assessment round.
+constexpr double kTrustRecovery = 0.001;
+/// Trust below which the FRU counts as *suspected* — the detection instant
+/// of the detection-latency metric (injection -> first trust violation).
+/// Above the report threshold on purpose: suspicion is the early signal,
+/// the report threshold drives maintenance decisions.
+constexpr double kViolationThreshold = 0.9;
+static_assert(kViolationThreshold > TrustParams::report_threshold);
+/// Trajectory sampling period in rounds (Fig. 9 resolution).
+constexpr tta::RoundId kSamplePeriod = 50;
+/// Rounds of agent silence before the FRU's evidence counts stale (covers
+/// several agent heartbeat periods).
+constexpr tta::RoundId kStaleAfter = 32;
+/// Observation-key dedupe horizon in rounds (exceeds the agents' largest
+/// resend backoff).
+constexpr tta::RoundId kDedupeWindow = 512;
+/// Hierarchy mode: rounds between periodic re-emissions of a still-standing
+/// verdict delta (edge-triggered emissions happen at the violation instant
+/// regardless).
+constexpr tta::RoundId kDeltaRefreshPeriod = 16;
+/// Hierarchy mode: verdict deltas handed to the dissemination port per
+/// assessment round (own emissions + forwards; leftovers queue).
+constexpr std::size_t kDissemBudget = 16;
+
+}  // namespace
 
 Assessor::Assessor(Params p, fault::SpatialLayout layout,
                    std::uint32_t component_count, std::uint32_t /*job_count*/)
     : p_(p),
       classifier_(p.classifier, std::move(layout)),
-      store_(p.evidence),
+      store_(Params::evidence),
       component_count_(component_count),
-      component_trust_(component_count, p.trust.initial),
+      component_trust_(component_count, kInitialTrust),
       component_trajectories_(component_count),
       was_stale_(component_count, false),
       channels_(component_count),
       component_hits_(component_count, 0),
       mask_words_((component_count + 63) / 64),
-      summary_(classifier_.resolved_features(component_count),
-               p.classifier.alpha_decay, component_count,
-               classifier_.layout()) {
+      summary_(p.classifier, component_count, classifier_.layout()) {
   if (mask_words_ == 0) mask_words_ = 1;
   transport_masks_.assign(component_count_ * mask_words_, 0);
 }
@@ -72,7 +99,7 @@ void Assessor::register_subject_job(platform::JobId job,
                                     platform::ComponentId host) {
   jobs_by_host_[host].push_back(job);
   job_host_[job] = host;
-  job_trust_.emplace(job, p_.trust.initial);
+  job_trust_.emplace(job, kInitialTrust);
   if (job >= job_hits_.size()) job_hits_.resize(job + 1, 0);
 }
 
@@ -97,7 +124,7 @@ obs::ProvenanceId Assessor::journey_for(const Symptom& s) const {
 }
 
 void Assessor::note_component_trust(platform::ComponentId c) {
-  if (component_trust_[c] < p_.trust.violation_threshold &&
+  if (component_trust_[c] < kViolationThreshold &&
       !component_violation_round_.contains(c)) {
     component_violation_round_[c] = round_;
     violations_metric_.inc();
@@ -109,7 +136,7 @@ void Assessor::note_component_trust(platform::ComponentId c) {
 }
 
 void Assessor::note_job_trust(platform::JobId j) {
-  if (job_trust_.at(j) < p_.trust.violation_threshold &&
+  if (job_trust_.at(j) < kViolationThreshold &&
       !job_violation_round_.contains(j)) {
     job_violation_round_[j] = round_;
     violations_metric_.inc();
@@ -142,25 +169,21 @@ tta::RoundId Assessor::evidence_age(platform::ComponentId c) const {
 double Assessor::evidence_quality(platform::ComponentId c) const {
   if (!p_.hardening) return 1.0;
   const tta::RoundId age = evidence_age(c);
-  if (age <= p_.stale_after) return 1.0;
+  if (age <= kStaleAfter) return 1.0;
   // Linear decay after the staleness threshold; floor at 0 once silence
   // reaches five thresholds.
-  const double excess = static_cast<double>(age - p_.stale_after);
-  return std::max(0.0, 1.0 - excess / static_cast<double>(4 * p_.stale_after));
+  const double excess = static_cast<double>(age - kStaleAfter);
+  return std::max(0.0, 1.0 - excess / static_cast<double>(4 * kStaleAfter));
+}
+
+bool Assessor::evidence_fresh(platform::ComponentId c) const {
+  return !p_.hardening || evidence_age(c) <= kStaleAfter;
 }
 
 double Assessor::job_evidence_quality(platform::JobId j) const {
   auto it = job_host_.find(j);
   if (it == job_host_.end()) return evidence_quality(0);
   return evidence_quality(it->second);
-}
-
-std::vector<platform::ComponentId> Assessor::stale_components() const {
-  std::vector<platform::ComponentId> out;
-  for (platform::ComponentId c = 0; c < component_count_; ++c) {
-    if (channel_degraded(c)) out.push_back(c);
-  }
-  return out;
 }
 
 void Assessor::track_channel(platform::ComponentId agent,
@@ -322,9 +345,9 @@ void Assessor::process(platform::JobContext& ctx) {
 
   // An observer flagging most of its peers at once is itself the suspect
   // (connector/EMI on its receive path): charge the observer, not the
-  // blameless senders — mirroring the classifier's credibility rule.
-  const std::size_t spread_bar =
-      std::max<std::size_t>(2, (3 * (component_count_ - 1)) / 4);
+  // blameless senders — mirroring the classifier's credibility rule at
+  // its auto bar.
+  const std::size_t spread_bar = auto_sender_spread(component_count_);
   for (platform::ComponentId observer = 0; observer < component_count_;
        ++observer) {
     const std::uint64_t* mask = &transport_masks_[observer * mask_words_];
@@ -351,7 +374,7 @@ void Assessor::process(platform::JobContext& ctx) {
   // so trust keeps recovering on absent evidence.
   if (fp_ && p_.hardening) {
     for (platform::ComponentId c = 0; c < component_count_; ++c) {
-      bool stale = evidence_age(c) > p_.stale_after;
+      bool stale = evidence_age(c) > kStaleAfter;
       if (stale && !was_stale_[c] &&
           fp_->hit(fault::FaultSite::kStalenessExpiry)) {
         channels_[c].last_heard = round_;
@@ -370,7 +393,7 @@ void Assessor::process(platform::JobContext& ctx) {
     if (hits == 0) {
       if (!channel_degraded(c)) {
         component_trust_[c] =
-            std::min(1.0, component_trust_[c] + p_.trust.recovery);
+            std::min(1.0, component_trust_[c] + kTrustRecovery);
       }
     } else {
       const double scale = static_cast<double>(std::min(hits, 4u));
@@ -384,7 +407,7 @@ void Assessor::process(platform::JobContext& ctx) {
     if (hits == 0) {
       auto host_it = job_host_.find(j);
       if (host_it == job_host_.end() || !channel_degraded(host_it->second)) {
-        trust = std::min(1.0, trust + p_.trust.recovery);
+        trust = std::min(1.0, trust + kTrustRecovery);
       }
     } else {
       const double scale = static_cast<double>(std::min(hits, 4u));
@@ -396,7 +419,7 @@ void Assessor::process(platform::JobContext& ctx) {
   if (hierarchical()) emit_deltas(ctx);
 
   // Trajectory sampling (Fig. 9).
-  if (round_ >= last_sample_ + p_.sample_period) {
+  if (round_ >= last_sample_ + kSamplePeriod) {
     last_sample_ = round_;
     for (platform::ComponentId c = 0; c < component_count_; ++c) {
       component_trajectories_[c].push_back(TrustSample{round_, component_trust_[c]});
@@ -406,19 +429,18 @@ void Assessor::process(platform::JobContext& ctx) {
 
   // Dedupe keys older than the window can never be duplicated again (the
   // resend buffer is far shorter); drop them to stay bounded.
-  if (p_.hardening && round_ >= last_dedupe_prune_ + p_.dedupe_window) {
+  if (p_.hardening && round_ >= last_dedupe_prune_ + kDedupeWindow) {
     last_dedupe_prune_ = round_;
     const tta::RoundId horizon =
-        round_ > p_.dedupe_window ? round_ - p_.dedupe_window : 0;
+        round_ > kDedupeWindow ? round_ - kDedupeWindow : 0;
     std::erase_if(seen_,
                   [horizon](const DedupKey& k) { return k.round < horizon; });
   }
 
   summary_.fold(store_, round_);
   store_.prune(round_);
-  summary_.note_prune(
-      round_ > p_.evidence.window_rounds ? round_ - p_.evidence.window_rounds
-                                         : 0);
+  constexpr tta::RoundId kWindow = Params::evidence.window_rounds;
+  summary_.note_prune(round_ > kWindow ? round_ - kWindow : 0);
 }
 
 void Assessor::handle_delta(const vnet::Message& m) {
@@ -508,7 +530,7 @@ void Assessor::emit_deltas(platform::JobContext& ctx) {
   // A standing suspicion is re-emitted every refresh period so late
   // joiners and lossy paths converge without any retransmission protocol.
   const bool refresh =
-      round_ >= last_delta_refresh_ + p_.delta_refresh_period;
+      round_ >= last_delta_refresh_ + kDeltaRefreshPeriod;
   if (refresh) last_delta_refresh_ = round_;
   auto emit = [&](bool job_level, std::uint32_t fru, double trust) {
     VerdictDelta d;
@@ -528,7 +550,7 @@ void Assessor::emit_deltas(platform::JobContext& ctx) {
   for (platform::ComponentId c = 0; c < component_count_; ++c) {
     if (!topo_->is_tester(position_, c)) continue;
     const bool suspect =
-        component_trust_[c] < p_.trust.violation_threshold;
+        component_trust_[c] < kViolationThreshold;
     if (suspect && (!comp_delta_active_[c] || refresh)) {
       comp_delta_active_[c] = true;
       emit(false, c, component_trust_[c]);
@@ -541,7 +563,7 @@ void Assessor::emit_deltas(platform::JobContext& ctx) {
     const auto host_it = job_host_.find(j);
     if (host_it == job_host_.end()) continue;
     if (!topo_->is_tester(position_, host_it->second)) continue;
-    const bool suspect = trust < p_.trust.violation_threshold;
+    const bool suspect = trust < kViolationThreshold;
     bool& active = job_delta_active_[j];
     if (suspect && (!active || refresh)) {
       active = true;
@@ -554,7 +576,7 @@ void Assessor::emit_deltas(platform::JobContext& ctx) {
   // Budgeted drain: own emissions and forwards share the per-round send
   // allowance; leftovers stay queued (FIFO) for the next round.
   std::size_t sent = 0;
-  while (!dissem_out_.empty() && sent < p_.dissem_budget) {
+  while (!dissem_out_.empty() && sent < kDissemBudget) {
     const PendingDelta pd = dissem_out_.front();
     dissem_out_.pop_front();
     if (pd.forward && fp_ && fp_->hit(fault::FaultSite::kDissemForward)) {
@@ -602,26 +624,26 @@ void Assessor::export_staleness() {
 }
 
 void Assessor::reset_component_trust(platform::ComponentId c) {
-  component_trust_.at(c) = p_.trust.initial;
+  component_trust_.at(c) = kInitialTrust;
   component_violation_round_.erase(c);
   if (hierarchical()) {
     delta_cache_.erase(DeltaKey{false, c});
     if (comp_delta_active_[c]) {
       comp_delta_active_[c] = false;
-      queue_clear_delta(false, c, p_.trust.initial);
+      queue_clear_delta(false, c, kInitialTrust);
     }
   }
 }
 
 void Assessor::reset_job_trust(platform::JobId j) {
-  job_trust_[j] = p_.trust.initial;
+  job_trust_[j] = kInitialTrust;
   job_violation_round_.erase(j);
   if (hierarchical()) {
     delta_cache_.erase(DeltaKey{true, j});
     auto it = job_delta_active_.find(j);
     if (it != job_delta_active_.end() && it->second) {
       it->second = false;
-      queue_clear_delta(true, j, p_.trust.initial);
+      queue_clear_delta(true, j, kInitialTrust);
     }
   }
 }

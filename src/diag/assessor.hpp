@@ -45,18 +45,10 @@
 namespace decos::diag {
 
 struct TrustParams {
-  double initial = 1.0;
-  /// Recovery per healthy assessment round.
-  double recovery = 0.001;
   /// Drop per symptomatic round (scaled by min(symptoms, 4)).
   double drop = 0.02;
   /// Trust below which the FRU is reported to the maintenance engineer.
-  double report_threshold = 0.5;
-  /// Trust below which the FRU counts as *suspected* — the detection
-  /// instant of the detection-latency metric (injection -> first trust
-  /// violation). Above report_threshold on purpose: suspicion is the
-  /// early signal, the report threshold drives maintenance decisions.
-  double violation_threshold = 0.9;
+  static constexpr double report_threshold = 0.5;
 };
 
 struct TrustSample {
@@ -79,28 +71,16 @@ struct AgentChannel {
 class Assessor {
  public:
   struct Params {
-    Classifier::Params classifier{};
-    EvidenceStore::Params evidence{};
+    /// The one set of feature thresholds: the summary, the classifier and
+    /// every ONA read it, resolved once by the summary.
+    FeatureParams classifier{};
+    /// The assessor's evidence window (the store's default).
+    static constexpr EvidenceStore::Params evidence{};
     TrustParams trust{};
-    /// Trajectory sampling period in rounds (Fig. 9 resolution).
-    tta::RoundId sample_period = 50;
     /// Master switch for channel hardening (staleness watchdog, dedupe,
     /// gap tracking, recovery gating). Off reproduces the pre-hardening
     /// assessor, for ablation runs.
     bool hardening = true;
-    /// Rounds of agent silence before the FRU's evidence counts stale
-    /// (should cover several agent heartbeat periods).
-    tta::RoundId stale_after = 32;
-    /// Observation-key dedupe horizon in rounds (must exceed the agents'
-    /// largest resend backoff).
-    tta::RoundId dedupe_window = 512;
-    /// Hierarchy mode: rounds between periodic re-emissions of a still-
-    /// standing verdict delta (edge-triggered emissions happen at the
-    /// violation instant regardless).
-    tta::RoundId delta_refresh_period = 16;
-    /// Hierarchy mode: verdict deltas handed to the dissemination port
-    /// per assessment round (own emissions + forwards; leftovers queue).
-    std::size_t dissem_budget = 16;
   };
 
   Assessor(Params p, fault::SpatialLayout layout, std::uint32_t component_count,
@@ -182,7 +162,6 @@ class Assessor {
   void enable_hierarchy(HierarchyTopology topology, std::uint32_t position,
                         platform::PortId dissem_port);
   [[nodiscard]] bool hierarchical() const { return topo_.has_value(); }
-  [[nodiscard]] std::uint32_t position() const { return position_; }
   [[nodiscard]] const HierarchyTopology& topology() const { return *topo_; }
 
   /// Declares a peer assessor job and its cube position (delta acceptance
@@ -265,8 +244,8 @@ class Assessor {
   /// from component `c`'s agent.
   [[nodiscard]] tta::RoundId evidence_age(platform::ComponentId c) const;
   /// Evidence quality in [0,1]: 1.0 while the agent is fresh, decaying
-  /// linearly once its silence exceeds `stale_after`. Always 1.0 with
-  /// hardening off (the pre-hardening blind spot, by construction).
+  /// linearly once its silence exceeds the staleness threshold. Always 1.0
+  /// with hardening off (the pre-hardening blind spot, by construction).
   [[nodiscard]] double evidence_quality(platform::ComponentId c) const;
   /// Quality of the evidence about job `j` = quality of its host
   /// component's agent channel (job-level symptoms originate there).
@@ -276,14 +255,10 @@ class Assessor {
   /// floating-point rounding can never flip a fresh channel to stale.
   /// Always fresh with hardening off (the ablated assessor is blind to
   /// silence by construction).
-  [[nodiscard]] bool evidence_fresh(platform::ComponentId c) const {
-    return !p_.hardening || evidence_age(c) <= p_.stale_after;
-  }
+  [[nodiscard]] bool evidence_fresh(platform::ComponentId c) const;
   [[nodiscard]] bool channel_degraded(platform::ComponentId c) const {
     return !evidence_fresh(c);
   }
-  /// Components whose agent channel is currently degraded.
-  [[nodiscard]] std::vector<platform::ComponentId> stale_components() const;
   [[nodiscard]] const AgentChannel& channel(platform::ComponentId c) const {
     return channels_.at(c);
   }
@@ -307,7 +282,6 @@ class Assessor {
   [[nodiscard]] std::uint64_t symptoms_processed() const {
     return store_.symptoms_ingested();
   }
-  [[nodiscard]] const Params& params() const { return p_; }
 
  private:
   Params p_;

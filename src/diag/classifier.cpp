@@ -8,6 +8,21 @@
 namespace decos::diag {
 namespace {
 
+/// Rounds of continuous omission that mean a dead (permanent) FRU.
+constexpr tta::RoundId kPermanentOmissionRounds = 200;
+/// Episode count at which recurrence alone implies an internal
+/// intermittent fault even without a clean rising trend.
+constexpr std::size_t kRecurrenceThreshold = 8;
+/// Alpha-count threshold (the §V-C discriminator): a decayed sum over the
+/// component's credible symptomatic rounds above this also marks the
+/// fault internal intermittent. Catches dense recurrence that the episode
+/// counter under-counts when episodes merge.
+constexpr double kAlphaThreshold = 40.0;
+/// Job value-error rounds needed before judging a job at all.
+constexpr std::size_t kMinValueRounds = 3;
+/// Queue overflows needed to call a configuration fault.
+constexpr std::uint64_t kOverflowThreshold = 10;
+
 /// Severity rank used when sender-side and observer-side analyses both
 /// produce a candidate: replacement-relevant classes win.
 int rank(fault::FaultClass c) {
@@ -26,8 +41,7 @@ Diagnosis Classifier::classify_component(const EvidenceStore& ev,
                                          tta::RoundId now,
                                          std::uint32_t component_count) const {
   ComponentFeatures f;
-  EvidenceSummary(resolved_features(component_count), p_.alpha_decay,
-                  component_count, layout_)
+  EvidenceSummary(p_, component_count, layout_)
       .component_features(ev, c, now, f);
   return classify_component(ev, c, now, f);
 }
@@ -36,16 +50,12 @@ Diagnosis Classifier::classify_component(const EvidenceStore& ev,
                                          platform::ComponentId c,
                                          tta::RoundId now,
                                          const ComponentFeatures& f) const {
-  // The decision rules read only the episode and trend thresholds, none
-  // of which depends on the component count.
-  const FeatureParams fp = p_.features();
-
   // Star-coupler evidence first: recurring guardian blocks mean the
   // component attempts transmissions outside its windows — a babbling
   // controller defect that the containment makes invisible in the
   // transport verdicts. The guardian-block vector is bounded, so it is
   // read from the store directly.
-  const auto gb_eps = episodes_of(ev.guardian_blocks(c), fp.episode_gap);
+  const auto gb_eps = episodes_of(ev.guardian_blocks(c), kEpisodeGap);
   if (gb_eps.size() >= 3 || ev.guardian_blocks(c).size() >= 20) {
     return {fault::FaultClass::kComponentInternal,
             fault::Persistence::kPermanent, 0.9,
@@ -60,12 +70,12 @@ Diagnosis Classifier::classify_component(const EvidenceStore& ev,
   if (!sender_eps.empty()) {
     const VerdictTotals& vt = f.totals;
     const Episode& last_ep = sender_eps.back();
-    const bool ongoing = last_ep.last + fp.episode_gap >= now;
+    const bool ongoing = last_ep.last + kEpisodeGap >= now;
     const bool dense_tail =
         ongoing &&
-        last_ep.last - last_ep.first >= p_.permanent_omission_rounds &&
+        last_ep.last - last_ep.first >= kPermanentOmissionRounds &&
         last_ep.rounds >=
-            static_cast<std::uint32_t>(p_.permanent_omission_rounds * 8 / 10);
+            static_cast<std::uint32_t>(kPermanentOmissionRounds * 8 / 10);
 
     if (dense_tail && vt.omission >= vt.crc && vt.omission >= vt.timing) {
       sender_diag = {fault::FaultClass::kComponentInternal,
@@ -76,17 +86,17 @@ Diagnosis Classifier::classify_component(const EvidenceStore& ev,
       sender_diag = {fault::FaultClass::kComponentInternal,
                      fault::Persistence::kPermanent, 0.9,
                      "persistent timing violations (clock/oscillator defect)"};
-    } else if (rate_increasing(sender_eps, fp)) {
+    } else if (rate_increasing(sender_eps)) {
       sender_diag = {fault::FaultClass::kComponentInternal,
                      fault::Persistence::kIntermittent, 0.85,
                      "transient episodes with increasing frequency at one "
                      "component (wearout signature)"};
-    } else if (sender_eps.size() >= p_.recurrence_threshold) {
+    } else if (sender_eps.size() >= kRecurrenceThreshold) {
       sender_diag = {fault::FaultClass::kComponentInternal,
                      fault::Persistence::kIntermittent, 0.7,
                      "recurring transient episodes at the same component "
                      "(internal intermittent fault)"};
-    } else if (f.alpha >= p_.alpha_threshold) {
+    } else if (f.alpha >= kAlphaThreshold) {
       sender_diag = {fault::FaultClass::kComponentInternal,
                      fault::Persistence::kIntermittent, 0.7,
                      "alpha-count over threshold: transient failures recur "
@@ -137,8 +147,8 @@ Diagnosis Classifier::classify_job(const EvidenceStore& ev, platform::JobId j,
                                    const std::vector<platform::JobId>& siblings,
                                    tta::RoundId now) const {
   const JobEvidence& je = ev.job(j);
-  const bool has_value = je.value_rounds.size() >= p_.min_value_rounds;
-  const bool has_overflow = je.overflow_count >= p_.overflow_threshold;
+  const bool has_value = je.value_rounds.size() >= kMinValueRounds;
+  const bool has_overflow = je.overflow_count >= kOverflowThreshold;
   const bool has_gap = !je.gap_rounds.empty();
 
   if (!has_value && !has_overflow && !has_gap) {
@@ -164,7 +174,7 @@ Diagnosis Classifier::classify_job(const EvidenceStore& ev, platform::JobId j,
     std::size_t symptomatic_siblings = 0;
     for (platform::JobId s : siblings) {
       if (s == j) continue;
-      if (ev.job(s).value_rounds.size() >= p_.min_value_rounds) {
+      if (ev.job(s).value_rounds.size() >= kMinValueRounds) {
         ++symptomatic_siblings;
       }
     }
@@ -178,7 +188,7 @@ Diagnosis Classifier::classify_job(const EvidenceStore& ev, platform::JobId j,
     // Job-internal evidence first (Section III-D: transducer vs software
     // cannot be told apart from the interface alone — but a model-based
     // application assertion is exactly the internal information that can).
-    if (je.transducer_suspect_rounds.size() >= p_.min_value_rounds) {
+    if (je.transducer_suspect_rounds.size() >= kMinValueRounds) {
       return {fault::FaultClass::kJobInherentTransducer,
               fault::Persistence::kPermanent, 0.9,
               "the job's own model-based plausibility check indicts its "
@@ -204,7 +214,7 @@ Diagnosis Classifier::classify_job(const EvidenceStore& ev, platform::JobId j,
   }
 
   // Gaps only: the job went silent while its component stayed healthy.
-  const bool recent = je.gap_rounds.back() + 4 * p_.episode_gap >= now;
+  const bool recent = je.gap_rounds.back() + 4 * kEpisodeGap >= now;
   return {fault::FaultClass::kJobInherentSoftware,
           recent ? fault::Persistence::kPermanent
                  : fault::Persistence::kTransient,

@@ -16,7 +16,6 @@
 // technician's display shows next to the trust level.
 #pragma once
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -40,45 +39,10 @@ struct Diagnosis {
 
 class Classifier {
  public:
-  struct Params {
-    // Feature-extraction thresholds (see FeatureParams for semantics).
-    std::uint32_t observer_quorum = 2;
-    /// Senders an observer must flag in one round to be considered
-    /// self-suspect (its own receive path, not all those senders, is the
-    /// likely culprit). 0 = auto: max(2, 3/4 of the other components).
-    /// The bar must scale with cluster size — with a fixed bar of 2, two
-    /// *concurrent* genuine sender faults would discredit every observer
-    /// and blind the sender-side analysis entirely.
-    std::uint32_t sender_spread = 0;
-    tta::RoundId episode_gap = 25;
-    std::size_t min_episodes_for_trend = 4;
-    double wearout_gap_ratio = 0.7;
-    tta::RoundId correlation_delta = 10;
-    double spatial_radius = 1.6;
-    /// Rounds of continuous omission that mean a dead (permanent) FRU.
-    tta::RoundId permanent_omission_rounds = 200;
-    /// Episode count at which recurrence alone implies an internal
-    /// intermittent fault even without a clean rising trend.
-    std::size_t recurrence_threshold = 8;
-    /// Alpha-count threshold (the §V-C discriminator): a decayed sum over
-    /// the component's credible symptomatic rounds above this also marks
-    /// the fault internal intermittent. Catches dense recurrence that the
-    /// episode counter under-counts when episodes merge.
-    double alpha_threshold = 40.0;
-    double alpha_decay = 0.999;
-    /// Job value-error rounds needed before judging a job at all.
-    std::size_t min_value_rounds = 3;
-    /// Queue overflows needed to call a configuration fault.
-    std::uint64_t overflow_threshold = 10;
-
-    [[nodiscard]] FeatureParams features() const {
-      return FeatureParams{observer_quorum, sender_spread,    episode_gap,
-                           min_episodes_for_trend, wearout_gap_ratio,
-                           correlation_delta,      spatial_radius};
-    }
-  };
-
-  Classifier(Params p, fault::SpatialLayout layout)
+  /// `p` are the feature thresholds of the one-off classification path
+  /// (the 4-argument classify_component); the decision thresholds are
+  /// constants in classifier.cpp.
+  Classifier(FeatureParams p, fault::SpatialLayout layout)
       : p_(p), layout_(std::move(layout)) {}
 
   /// Classifies one component FRU from its features (see
@@ -94,19 +58,6 @@ class Classifier {
       const EvidenceStore& ev, platform::ComponentId c, tta::RoundId now,
       std::uint32_t component_count) const;
 
-  /// The fully resolved feature parameters for a cluster of
-  /// `component_count` components (sender_spread auto-scaling applied) —
-  /// what the EvidenceSummary feeding classify_component is built with.
-  [[nodiscard]] FeatureParams resolved_features(
-      std::uint32_t component_count) const {
-    FeatureParams fp = p_.features();
-    if (fp.sender_spread == 0) {
-      fp.sender_spread =
-          std::max(2u, (3u * std::max(component_count, 2u) - 3u) / 4u);
-    }
-    return fp;
-  }
-
   /// Classifies one job FRU. Needs the host component's diagnosis (a
   /// component-internal fault explains away job symptoms as job-external)
   /// and the sibling jobs on the same component (Fig. 10).
@@ -115,11 +66,10 @@ class Classifier {
       const Diagnosis& host_diagnosis,
       const std::vector<platform::JobId>& siblings, tta::RoundId now) const;
 
-  [[nodiscard]] const Params& params() const { return p_; }
   [[nodiscard]] const fault::SpatialLayout& layout() const { return layout_; }
 
  private:
-  Params p_;
+  FeatureParams p_;
   fault::SpatialLayout layout_;
 };
 

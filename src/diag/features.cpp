@@ -1,8 +1,17 @@
 #include "diag/features.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace decos::diag {
+namespace {
+
+/// Episodes needed before a rate-trend test is meaningful.
+constexpr std::size_t kMinEpisodesForTrend = 4;
+/// Mean-gap shrink factor (late vs early) that indicates wearout.
+constexpr double kWearoutGapRatio = 0.7;
+
+}  // namespace
 
 void extend_episodes(std::vector<Episode>& eps, tta::RoundId r,
                      tta::RoundId gap) {
@@ -21,8 +30,12 @@ std::vector<Episode> episodes_of(const std::vector<tta::RoundId>& rounds,
   return eps;
 }
 
-bool rate_increasing(const std::vector<Episode>& eps, const FeatureParams& p) {
-  if (eps.size() < p.min_episodes_for_trend) return false;
+std::uint32_t auto_sender_spread(std::uint32_t component_count) {
+  return std::max(2u, (3u * std::max(component_count, 2u) - 3u) / 4u);
+}
+
+bool rate_increasing(const std::vector<Episode>& eps) {
+  if (eps.size() < kMinEpisodesForTrend) return false;
   std::vector<double> gaps;
   for (std::size_t i = 1; i < eps.size(); ++i) {
     gaps.push_back(static_cast<double>(eps[i].first - eps[i - 1].last));
@@ -34,7 +47,7 @@ bool rate_increasing(const std::vector<Episode>& eps, const FeatureParams& p) {
   for (std::size_t i = gaps.size() - half; i < gaps.size(); ++i) late += gaps[i];
   early /= static_cast<double>(half);
   late /= static_cast<double>(half);
-  return early > 0 && late < early * p.wearout_gap_ratio;
+  return early > 0 && late < early * kWearoutGapRatio;
 }
 
 bool magnitudes_drifting(const std::vector<double>& mags) {

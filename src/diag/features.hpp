@@ -35,21 +35,21 @@ struct Episode {
 void extend_episodes(std::vector<Episode>& eps, tta::RoundId r,
                      tta::RoundId gap);
 
+/// Rounds of silence separating two episodes. Read by the summary, the
+/// classifier and the ONA library alike.
+inline constexpr tta::RoundId kEpisodeGap = 25;
+
+/// The feature thresholds that vary between callers; every other one is a
+/// constant next to its reader (summary.cpp, features.cpp). One set feeds
+/// the summary, the rule classifier and every ONA.
 struct FeatureParams {
-  /// Distinct credible observers required before the *sender* is the
-  /// suspect side.
-  std::uint32_t observer_quorum = 2;
   /// Senders an observer must flag in one round for a receive-path
   /// (observer-side) round; also the self-suspicion bar for credibility.
-  std::uint32_t sender_spread = 2;
-  /// Rounds of silence separating two episodes.
-  tta::RoundId episode_gap = 25;
-  /// Episodes needed before a rate-trend test is meaningful.
-  std::size_t min_episodes_for_trend = 4;
-  /// Mean-gap shrink factor (late vs early) that indicates wearout.
-  double wearout_gap_ratio = 0.7;
-  /// Rounds of tolerance when matching episodes across components.
-  tta::RoundId correlation_delta = 10;
+  /// 0 = auto (auto_sender_spread), resolved by EvidenceSummary. The bar
+  /// must scale with cluster size — with a fixed
+  /// bar of 2, two *concurrent* genuine sender faults would discredit
+  /// every observer and blind the sender-side analysis entirely.
+  std::uint32_t sender_spread = 0;
   /// Spatial distance within which correlated components count as
   /// proximate.
   double spatial_radius = 1.6;
@@ -57,9 +57,11 @@ struct FeatureParams {
   bool operator==(const FeatureParams&) const = default;
 };
 
+/// The auto sender_spread bar: max(2, 3/4 of the other components).
+[[nodiscard]] std::uint32_t auto_sender_spread(std::uint32_t component_count);
+
 /// Late-vs-early mean episode gap shrinks below the wearout ratio.
-[[nodiscard]] bool rate_increasing(const std::vector<Episode>& eps,
-                                   const FeatureParams& p);
+[[nodiscard]] bool rate_increasing(const std::vector<Episode>& eps);
 
 /// Per-verdict totals over quorum rounds about a component.
 struct VerdictTotals {
@@ -83,7 +85,7 @@ struct ComponentFeatures {
   /// Episodes of the rounds in which the component itself reported
   /// >= sender_spread senders (its receive path is the common factor).
   std::vector<Episode> observer_eps;
-  /// Per observer episode: coincides (within correlation_delta) with an
+  /// Per observer episode: coincides (within the correlation delta) with an
   /// observer round of a spatially proximate component.
   std::vector<bool> observer_hit;
   VerdictTotals totals;

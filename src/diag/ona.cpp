@@ -18,7 +18,7 @@ OnaCondition sender_episode_count_at_most(std::size_t n) {
 
 OnaCondition sender_rate_increasing() {
   return [](const OnaContext& ctx) {
-    return rate_increasing(ctx.features.sender_eps, ctx.params);
+    return rate_increasing(ctx.features.sender_eps);
   };
 }
 
@@ -27,7 +27,7 @@ OnaCondition sender_dense_tail(tta::RoundId rounds) {
     const auto& eps = ctx.features.sender_eps;
     if (eps.empty()) return false;
     const Episode& last = eps.back();
-    const bool ongoing = last.last + ctx.params.episode_gap >= ctx.now;
+    const bool ongoing = last.last + kEpisodeGap >= ctx.now;
     return ongoing && last.last - last.first >= rounds &&
            last.rounds >= static_cast<std::uint32_t>(rounds * 8 / 10);
   };

@@ -24,13 +24,11 @@ namespace decos::diag {
 
 /// Everything a condition may look at: the subject FRU's features (the
 /// same record the classifier reads, so an assertion and the verdict on
-/// one report row see one state), the sparse-time "now", and the resolved
-/// feature parameters the record was extracted with.
+/// one report row see one state) and the sparse-time "now".
 struct OnaContext {
   platform::ComponentId subject;
   ComponentFeatures features;
   tta::RoundId now;
-  FeatureParams params;
 };
 
 using OnaCondition = std::function<bool(const OnaContext&)>;

@@ -7,6 +7,15 @@ namespace decos::diag {
 namespace {
 
 constexpr std::string_view kChannelDegraded = "diagnostic-channel-degraded";
+/// How long a revived higher-priority host must stay continuously alive
+/// before the service hands back to it. A restarted node can briefly drop
+/// out of sync again while its clock reintegrates; the hold keeps that
+/// flap from causing failover churn.
+constexpr sim::Duration kFailbackHold = sim::milliseconds(50);
+/// Hierarchy mode: dissemination vnet budget (messages per round per node)
+/// and queue depth.
+constexpr std::uint16_t kDissemMsgsPerRound = 16;
+constexpr std::uint16_t kDissemQueueDepth = 128;
 
 const OnaEngine& standard_onas() {
   static const OnaEngine kRules = OnaEngine::standard_rules();
@@ -32,7 +41,6 @@ DiagnosticService::DiagnosticService(platform::System& system, SpecTable specs,
     : system_(system), specs_(std::move(specs)),
       hardening_(params.assessor.hardening),
       hierarchy_(params.hierarchy),
-      failback_hold_(params.failback_hold),
       ona_metrics_(standard_onas().rules().size() + 1),
       staleness_metrics_(system.component_count()) {
   // Application jobs existing now are the diagnosis subjects; everything
@@ -42,7 +50,8 @@ DiagnosticService::DiagnosticService(platform::System& system, SpecTable specs,
     subject_jobs_.push_back(j);
   }
 
-  das_ = system_.add_das("diagnostic", platform::Criticality::kSafetyCritical);
+  const platform::DasId das =
+      system_.add_das("diagnostic", platform::Criticality::kSafetyCritical);
 
   hosts_.push_back(params.assessor_host);
   hosts_.insert(hosts_.end(), params.replica_hosts.begin(),
@@ -61,7 +70,7 @@ DiagnosticService::DiagnosticService(platform::System& system, SpecTable specs,
     // (the tracer dedupes repeats by coalescing, not by source).
     assessor->bind_provenance(&system_.simulator().provenance());
     platform::Job& job = system_.add_job(
-        das_, i == 0 ? "diag.assessor" : "diag.assessor.r" + std::to_string(i),
+        das, i == 0 ? "diag.assessor" : "diag.assessor.r" + std::to_string(i),
         hosts_[i],
         [this, assessor, i](platform::JobContext& ctx) {
           if (hierarchy_) {
@@ -88,11 +97,9 @@ DiagnosticService::DiagnosticService(platform::System& system, SpecTable specs,
 
   // Agents mirror the assessor's hardening switch so one Params flag
   // ablates the whole diagnostic-path hardening end to end.
-  Agent::Params agent_params;
-  agent_params.hardening = params.assessor.hardening;
   for (platform::ComponentId c = 0; c < system_.component_count(); ++c) {
-    agents_.push_back(std::make_unique<Agent>(system_, das_, c, specs_,
-                                              assessor_jobs_, agent_params));
+    agents_.push_back(std::make_unique<Agent>(system_, das, c, specs_,
+                                              assessor_jobs_, hardening_));
     for (auto& assessor : assessors_) {
       assessor->register_agent(agents_.back()->job_id(), c);
     }
@@ -119,8 +126,7 @@ DiagnosticService::DiagnosticService(platform::System& system, SpecTable specs,
     // for bandwidth like everything else, but never with the symptom
     // stream it summarises.
     const platform::VnetId dissem = system_.add_vnet(
-        "vn.diag.dissem", params.dissem_msgs_per_round,
-        params.dissem_queue_depth);
+        "vn.diag.dissem", kDissemMsgsPerRound, kDissemQueueDepth);
     for (std::size_t i = 0; i < assessors_.size(); ++i) {
       // Cube edges are fixed by position (p <-> p xor 2^s); only liveness
       // changes at runtime, so the port's receiver set never needs rewiring.
@@ -211,16 +217,6 @@ const Assessor* DiagnosticService::resolve_component(
   }
   // Every position dead: the primary's frozen state is the best view left.
   return assessors_.front().get();
-}
-
-std::size_t DiagnosticService::serving_assessor(
-    platform::ComponentId c) const {
-  if (!hierarchy_) return active_assessor();
-  const Assessor* a = resolve_component(c, nullptr);
-  for (std::size_t i = 0; i < assessors_.size(); ++i) {
-    if (assessors_[i].get() == a) return i;
-  }
-  return 0;
 }
 
 double DiagnosticService::component_trust(platform::ComponentId c) const {
@@ -346,7 +342,7 @@ void DiagnosticService::check_failover() const {
       failback_candidate_since_ = now;
       return;
     }
-    if ((now - failback_candidate_since_).ns() < failback_hold_.ns()) return;
+    if ((now - failback_candidate_since_).ns() < kFailbackHold.ns()) return;
   }
   // Failover/failback fault sites: firing defers the transition by one
   // evaluation (the decision logic glitches, the next assessment round
@@ -377,9 +373,10 @@ void DiagnosticService::check_failover() const {
 
 void DiagnosticService::assert_external_ona(platform::ComponentId c,
                                             const std::string& name) {
-  auto& names = external_onas_[c];
-  if (std::find(names.begin(), names.end(), name) == names.end()) {
-    names.push_back(name);
+  auto& onas = external_onas_[c];
+  if (std::none_of(onas.begin(), onas.end(),
+                   [&](const ExternalOna& o) { return o.name == name; })) {
+    onas.push_back(ExternalOna{name, std::nullopt});
   }
 }
 
@@ -387,7 +384,8 @@ void DiagnosticService::retract_external_ona(platform::ComponentId c,
                                              const std::string& name) {
   auto it = external_onas_.find(c);
   if (it == external_onas_.end()) return;
-  std::erase(it->second, name);
+  std::erase_if(it->second,
+                [&](const ExternalOna& o) { return o.name == name; });
 }
 
 void DiagnosticService::reset_component_trust(platform::ComponentId c) {
@@ -454,8 +452,7 @@ std::vector<FruReport> DiagnosticService::report() const {
     row.trust = delta ? delta->trust : a.component_trust(c);
     // One feature record per row: the verdict and the assertions judge
     // the same state.
-    const OnaContext ctx{c, a.component_features(c), a.current_round(),
-                         a.feature_params()};
+    const OnaContext ctx{c, a.component_features(c), a.current_round()};
     row.diagnosis =
         delta ? disseminated(*delta) : a.diagnose_component(c, ctx.features);
     row.action = row.diagnosis.action();
@@ -474,9 +471,13 @@ std::vector<FruReport> DiagnosticService::report() const {
     }
     auto ext = external_onas_.find(c);
     if (ext != external_onas_.end()) {
-      for (const std::string& name : ext->second) {
-        row.asserted_onas.push_back(name);
-        metrics.counter("diag.ona_assertions", "ona=" + name).inc();
+      for (const ExternalOna& ona : ext->second) {
+        row.asserted_onas.push_back(ona.name);
+        if (!ona.counter) {
+          ona.counter =
+              metrics.counter("diag.ona_assertions", "ona=" + ona.name);
+        }
+        ona.counter->inc();
       }
     }
     if (active) {

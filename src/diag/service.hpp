@@ -78,11 +78,6 @@ class DiagnosticService {
     /// maintenance view alive when the primary's component dies. Agents
     /// multicast their symptom stream to every assessor.
     std::vector<platform::ComponentId> replica_hosts;
-    /// How long a revived higher-priority host must stay continuously
-    /// alive before the service hands back to it. A restarted node can
-    /// briefly drop out of sync again while its clock reintegrates; the
-    /// hold keeps that flap from causing failover churn.
-    sim::Duration failback_hold = sim::milliseconds(50);
     Assessor::Params assessor{};
     /// Hierarchical diagnosis: the assessor hosts (primary + replicas)
     /// form a VCube overlay instead of an all-watch-all replica set. Each
@@ -93,10 +88,6 @@ class DiagnosticService {
     /// recomputation, and every query composes the per-slice partial
     /// views (use the service-level accessors, not assessor()).
     bool hierarchy = false;
-    /// Dissemination vnet budget (messages per round per node) and queue
-    /// depth, hierarchy mode only.
-    std::uint16_t dissem_msgs_per_round = 16;
-    std::uint16_t dissem_queue_depth = 128;
   };
 
   DiagnosticService(platform::System& system, SpecTable specs,
@@ -124,8 +115,6 @@ class DiagnosticService {
   [[nodiscard]] std::uint64_t failovers() const { return failovers_; }
   /// Reconciled hand-backs to a revived higher-priority host.
   [[nodiscard]] std::uint64_t failbacks() const { return failbacks_; }
-  [[nodiscard]] const SpecTable& specs() const { return specs_; }
-  [[nodiscard]] platform::DasId das() const { return das_; }
   [[nodiscard]] platform::JobId assessor_job() const { return assessor_job_; }
 
   /// Is this job part of the diagnostic DAS (agents + assessor)?
@@ -168,7 +157,6 @@ class DiagnosticService {
   // hierarchy mode they compose the responsible tester's partial view,
   // falling back to the disseminated verdict cache when the responsible
   // tester was reassigned and never heard the FRU's agent itself.
-  [[nodiscard]] bool hierarchical() const { return hierarchy_; }
   /// The service's overlay view (hierarchy mode only), refreshed from the
   /// hosts' self-membership on access.
   [[nodiscard]] const HierarchyTopology& topology() const;
@@ -181,10 +169,6 @@ class DiagnosticService {
       platform::ComponentId c) const;
   [[nodiscard]] std::optional<tta::RoundId> first_job_violation(
       platform::JobId j) const;
-  /// Index of the assessor currently composing `c`'s verdict (hierarchy:
-  /// the first alive tester that heard the agent, else the responsible
-  /// tester serving from cache; legacy: the active assessor).
-  [[nodiscard]] std::size_t serving_assessor(platform::ComponentId c) const;
   /// Summed dissemination counters across every assessor position.
   [[nodiscard]] Assessor::HierarchyStats hierarchy_stats() const;
 
@@ -228,21 +212,26 @@ class DiagnosticService {
   /// rule: the diagnostic-channel-degraded meta-ONA).
   void count_ona(std::size_t rule) const;
 
+  /// An ONA asserted from outside the rule base, with its
+  /// diag.ona_assertions{ona=name} counter, bound on first count.
+  struct ExternalOna {
+    std::string name;
+    mutable std::optional<obs::Counter> counter;
+  };
+
   platform::System& system_;
   SpecTable specs_;
-  platform::DasId das_ = 0;
   platform::JobId assessor_job_ = platform::kInvalidJob;
   std::vector<platform::ComponentId> hosts_;
   std::vector<platform::JobId> assessor_jobs_;
   std::vector<std::unique_ptr<Assessor>> assessors_;
   std::vector<std::unique_ptr<Agent>> agents_;
   std::vector<platform::JobId> subject_jobs_;
-  std::map<platform::ComponentId, std::vector<std::string>> external_onas_;
+  std::map<platform::ComponentId, std::vector<ExternalOna>> external_onas_;
   bool hardening_ = true;
   bool hierarchy_ = false;
   mutable std::optional<HierarchyTopology> view_topo_;
   mutable std::vector<bool> alive_scratch_;
-  sim::Duration failback_hold_ = sim::milliseconds(50);
   fault::FaultPointRegistry* fp_ = nullptr;
   mutable std::size_t active_ = 0;
   mutable std::size_t failback_candidate_ = SIZE_MAX;

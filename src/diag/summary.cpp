@@ -4,14 +4,30 @@
 #include <limits>
 
 namespace decos::diag {
+namespace {
 
-EvidenceSummary::EvidenceSummary(FeatureParams fp, double alpha_decay,
+/// Distinct credible observers required before the *sender* is the
+/// suspect side.
+constexpr std::uint32_t kObserverQuorum = 2;
+/// Rounds of tolerance when matching episodes across components.
+constexpr tta::RoundId kCorrelationDelta = 10;
+/// Per-round decay of the alpha-count score.
+constexpr double kAlphaDecay = 0.999;
+
+// A closed episode's correlation window must end before the next episode
+// can start, so its verdict is final at close time and can be folded.
+static_assert(kCorrelationDelta < kEpisodeGap);
+
+}  // namespace
+
+EvidenceSummary::EvidenceSummary(FeatureParams fp,
                                  std::uint32_t component_count,
                                  fault::SpatialLayout layout)
-    : fp_(fp),
-      decay_(alpha_decay),
-      component_count_(component_count),
-      layout_(std::move(layout)) {}
+    : fp_(fp), component_count_(component_count), layout_(std::move(layout)) {
+  if (fp_.sender_spread == 0) {
+    fp_.sender_spread = auto_sender_spread(component_count);
+  }
+}
 
 bool EvidenceSummary::credible_round(const EvidenceStore& ev, tta::RoundId r,
                                      const SubjectRound& sr) const {
@@ -23,7 +39,7 @@ bool EvidenceSummary::credible_round(const EvidenceStore& ev, tta::RoundId r,
         it == reported.end() ? 0 : it->second.senders_reported.size();
     if (spread < fp_.sender_spread) ++credible;
   }
-  return credible >= fp_.observer_quorum;
+  return credible >= kObserverQuorum;
 }
 
 bool EvidenceSummary::episode_correlated(const EvidenceStore& ev,
@@ -37,9 +53,8 @@ bool EvidenceSummary::episode_correlated(const EvidenceStore& ev,
     }
     const auto& reported = ev.reported_by(o);
     auto it = reported.lower_bound(
-        e.first > fp_.correlation_delta ? e.first - fp_.correlation_delta : 0);
-    for (; it != reported.end() &&
-           it->first <= e.last + fp_.correlation_delta;
+        e.first > kCorrelationDelta ? e.first - kCorrelationDelta : 0);
+    for (; it != reported.end() && it->first <= e.last + kCorrelationDelta;
          ++it) {
       if (it->second.senders_reported.size() >= fp_.sender_spread) return true;
     }
@@ -58,7 +73,7 @@ void EvidenceSummary::walk(const EvidenceStore& ev, platform::ComponentId c,
        ++it) {
     const tta::RoundId r = it->first;
     const SubjectRound& sr = it->second;
-    if (sr.observers.size() >= fp_.observer_quorum) {
+    if (sr.observers.size() >= kObserverQuorum) {
       ++out.totals.quorum_rounds;
       out.totals.crc += sr.crc;
       out.totals.timing += sr.timing;
@@ -66,9 +81,9 @@ void EvidenceSummary::walk(const EvidenceStore& ev, platform::ComponentId c,
     }
     if (!credible_round(ev, r, sr)) continue;
     if (r <= alpha_at) {
-      alpha += std::pow(decay_, static_cast<double>(alpha_at - r));
+      alpha += std::pow(kAlphaDecay, static_cast<double>(alpha_at - r));
     }
-    extend_episodes(out.sender_eps, r, fp_.episode_gap);
+    extend_episodes(out.sender_eps, r, kEpisodeGap);
   }
 
   // Observer side.
@@ -76,13 +91,12 @@ void EvidenceSummary::walk(const EvidenceStore& ev, platform::ComponentId c,
   for (auto it = reported.lower_bound(from);
        it != reported.end() && it->first < to; ++it) {
     if (it->second.senders_reported.size() >= fp_.sender_spread) {
-      extend_episodes(out.observer_eps, it->first, fp_.episode_gap);
+      extend_episodes(out.observer_eps, it->first, kEpisodeGap);
     }
   }
 }
 
 void EvidenceSummary::fold(const EvidenceStore& ev, tta::RoundId now) {
-  if (fp_.correlation_delta >= fp_.episode_gap) return;
   if (dirty_) {
     folds_.clear();
     horizon_ = 0;
@@ -98,13 +112,13 @@ void EvidenceSummary::fold(const EvidenceStore& ev, tta::RoundId now) {
     double tail_alpha = 0.0;
     walk(ev, c, horizon_, to, to, acc, tail_alpha);
     acc.alpha =
-        acc.alpha * std::pow(decay_, static_cast<double>(to - horizon_)) +
+        acc.alpha * std::pow(kAlphaDecay, static_cast<double>(to - horizon_)) +
         tail_alpha;
     // Close every observer episode no round from `to` on can extend, and
     // freeze its correlation verdict: its window ends before `to`, so the
     // data it reads is final.
     while (f.observer_closed < acc.observer_eps.size() &&
-           acc.observer_eps[f.observer_closed].last + fp_.episode_gap < to) {
+           acc.observer_eps[f.observer_closed].last + kEpisodeGap < to) {
       acc.observer_hit.push_back(
           episode_correlated(ev, c, acc.observer_eps[f.observer_closed]));
       ++f.observer_closed;
@@ -123,7 +137,7 @@ void EvidenceSummary::component_features(const EvidenceStore& ev,
   const tta::RoundId from = folded ? horizon_ : 0;
   out = f.features;
   out.alpha =
-      f.features.alpha * std::pow(decay_, static_cast<double>(now - from));
+      f.features.alpha * std::pow(kAlphaDecay, static_cast<double>(now - from));
   // The folded lists end in (at most one) open episode each, which the
   // tail rounds extend exactly as an unfolded walk would.
   walk(ev, c, from, std::numeric_limits<tta::RoundId>::max(), now, out,

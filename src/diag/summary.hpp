@@ -41,16 +41,13 @@ class EvidenceSummary {
   /// Rounds between the latest fold's `now` and the fold horizon.
   static constexpr tta::RoundId kFoldLag = 320;
 
-  EvidenceSummary() = default;
+  /// Resolves `fp` for `component_count` components: an auto
+  /// sender_spread of 0 becomes auto_sender_spread(component_count). No
+  /// other code resolves it.
+  EvidenceSummary(FeatureParams fp, std::uint32_t component_count,
+                  fault::SpatialLayout layout);
 
-  /// `fp` must be the fully resolved feature parameters — sender_spread
-  /// already scaled to the component count (Classifier::resolved_features).
-  /// Folding requires correlation_delta < episode_gap (the defaults), so a
-  /// closed episode's correlation window is final at close time; outside
-  /// that regime fold() is a no-op and every read walks the whole store.
-  EvidenceSummary(FeatureParams fp, double alpha_decay,
-                  std::uint32_t component_count, fault::SpatialLayout layout);
-
+  /// The resolved feature parameters every read uses.
   [[nodiscard]] const FeatureParams& feature_params() const { return fp_; }
   /// First round not yet folded (0 = nothing folded).
   [[nodiscard]] tta::RoundId horizon() const { return horizon_; }
@@ -107,7 +104,6 @@ class EvidenceSummary {
             ComponentFeatures& out, double& alpha) const;
 
   FeatureParams fp_{};
-  double decay_ = 0.999;
   std::uint32_t component_count_ = 0;
   fault::SpatialLayout layout_{};
   tta::RoundId horizon_ = 0;

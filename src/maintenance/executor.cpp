@@ -7,6 +7,18 @@
 #include "tta/node.hpp"
 
 namespace decos::maintenance {
+namespace {
+
+/// How often the executor consults the maintenance report.
+constexpr sim::Duration kPollPeriod = sim::milliseconds(10);
+/// Retry delay multiplier: attempt k waits latency * factor^(k-1).
+constexpr double kBackoffFactor = 2.0;
+/// Attempts before the FRU is quarantined as unrepairable.
+constexpr std::uint32_t kMaxAttempts = 4;
+/// Crystal drift of replacement hardware, ppm (well inside spec).
+constexpr double kReplacementDriftPpm = 5.0;
+
+}  // namespace
 
 const char* to_string(WorkOrderState s) {
   switch (s) {
@@ -30,7 +42,7 @@ void MaintenanceExecutor::start() {
   if (started_) return;
   started_ = true;
   sim_.metrics().gauge("maint.spare_pool").set(static_cast<double>(spares_));
-  poll_timer_.start(sim_, sim_.now() + p_.poll_period, p_.poll_period,
+  poll_timer_.start(sim_, sim_.now() + kPollPeriod, kPollPeriod,
                     [this] {
                       poll();
                       return true;
@@ -59,10 +71,12 @@ fault::FaultClass MaintenanceExecutor::rediagnose(const WorkOrder& o) const {
 }
 
 void MaintenanceExecutor::poll() {
-  const double threshold =
-      service_.assessor().params().trust.report_threshold;
+  // Evaluates failover before report() does. The fault-space enumeration
+  // numbers each failover/failback decision, so dropping this call would
+  // renumber its points.
+  (void)service_.active_assessor();
   for (const diag::FruReport& row : service_.report()) {
-    if (row.trust >= threshold) continue;
+    if (row.trust >= diag::TrustParams::report_threshold) continue;
     // Quarantined hardware is retired: neither the component row nor the
     // rows of jobs stranded on it can be serviced any more.
     if (quarantined_components_.contains(row.component)) continue;
@@ -208,7 +222,7 @@ void MaintenanceExecutor::perform(WorkOrder& o,
       injector_.apply_action(o.component, std::nullopt, action);
       tta::TtaNode& node = system_.cluster().node(o.component);
       node.faults() = tta::FaultControls{};
-      node.clock().set_drift_ppm(p_.replacement_drift_ppm);
+      node.clock().set_drift_ppm(kReplacementDriftPpm);
       node.restart();
       break;
     }
@@ -272,7 +286,7 @@ void MaintenanceExecutor::verify(std::size_t idx) {
     return;
   }
   const double trust = fru_trust(o);
-  if (trust >= p_.verify_trust) {
+  if (trust >= Params::verify_trust) {
     o.state = WorkOrderState::kVerified;
     o.closed = sim_.now();
     sim_.provenance().end_span(o.open_span, obs::ProvOutcome::kRepaired);
@@ -291,12 +305,12 @@ void MaintenanceExecutor::verify(std::size_t idx) {
   sim_.metrics().counter("maint.repair_failures").inc();
   sim_.log(sim::TraceCategory::kMaintenance, o.fru,
            "repair did not take (trust " + std::to_string(trust) + ")");
-  if (o.attempts >= p_.max_attempts) {
+  if (o.attempts >= kMaxAttempts) {
     quarantine(o);
     return;
   }
   // Exponential backoff: the garage escalates, it does not hammer.
-  const double scale = std::pow(p_.backoff_factor,
+  const double scale = std::pow(kBackoffFactor,
                                 static_cast<double>(o.attempts - 1));
   const sim::Duration delay{static_cast<std::int64_t>(
       static_cast<double>(p_.technician_latency.ns()) * scale)};

@@ -176,6 +176,38 @@ TEST(SilentAgent, AblatedReportIsFalselyHealthy) {
   EXPECT_TRUE(out.false_healthy());
 }
 
+TEST(ChannelHardening, AblationSwitchReachesEveryAgent) {
+  // One flag, Assessor::Params::hardening, ablates the diagnostic-path
+  // hardening end to end: the service hands it to every agent. On a lossy
+  // diagnostic channel an ablated agent sends no heartbeat and no resend;
+  // a hardened one does both.
+  for (const bool hardening : {false, true}) {
+    SCOPED_TRACE(hardening ? "hardening on" : "hardening off");
+    scenario::Fig10System rig(chaos_rig_options(5, hardening));
+    fault::ChaosInjector storm(rig.sim(), rig.system());
+    storm.degrade_diagnostic_channel(0.10, 0.05, ms(0));
+    rig.injector().inject_wearout(1, ms(300), sim::milliseconds(500), 0.7,
+                                  sim::milliseconds(10));
+    rig.run(sim::seconds(2));
+    ASSERT_GT(storm.messages_dropped(), 0u);
+    std::uint64_t heartbeats = 0;
+    std::uint64_t resends = 0;
+    for (platform::ComponentId c = 0; c < 7; ++c) {
+      const diag::Agent& agent = rig.diag().agent(c);
+      heartbeats += agent.heartbeats_sent();
+      resends += agent.retransmissions();
+      if (!hardening) {
+        EXPECT_EQ(agent.heartbeats_sent(), 0u) << "agent " << c;
+        EXPECT_EQ(agent.retransmissions(), 0u) << "agent " << c;
+      }
+    }
+    if (hardening) {
+      EXPECT_GT(heartbeats, 0u);
+      EXPECT_GT(resends, 0u);
+    }
+  }
+}
+
 TEST(ChaosCampaign, HardenedAccuracyWithinTenPercentOfBaseline) {
   // Acceptance criterion: classification accuracy under the full chaos
   // treatment (lossy diagnostic channel + assessor outage + failback)

@@ -32,8 +32,7 @@ inline void expect_same_features(const ComponentFeatures& folded,
 /// components carry evidence, so callers can check the run was not idle.
 inline std::size_t expect_folded_matches_unfolded(const Assessor& a,
                                                   std::uint32_t components) {
-  const EvidenceSummary fresh(a.feature_params(),
-                              a.params().classifier.alpha_decay, components,
+  const EvidenceSummary fresh(a.feature_params(), components,
                               a.classifier().layout());
   std::size_t with_evidence = 0;
   for (platform::ComponentId c = 0; c < components; ++c) {

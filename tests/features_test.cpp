@@ -25,10 +25,9 @@ Symptom transport(tta::RoundId round, SymptomType type,
 }
 
 ComponentFeatures features_of(const EvidenceStore& ev, platform::ComponentId c,
-                              const FeatureParams& p, tta::RoundId now = 0,
-                              double decay = 0.999) {
+                              const FeatureParams& p, tta::RoundId now = 0) {
   ComponentFeatures f;
-  EvidenceSummary(p, decay, 5, fault::SpatialLayout::linear(5))
+  EvidenceSummary(p, 5, fault::SpatialLayout::linear(5))
       .component_features(ev, c, now, f);
   return f;
 }
@@ -43,7 +42,6 @@ TEST(Features, SelfSuspectObserverDoesNotCountTowardQuorum) {
   ev.ingest(transport(10, SymptomType::kSlotCrcError, 1, 2));
   ev.ingest(transport(10, SymptomType::kSlotCrcError, 3, 0));
   FeatureParams p;
-  p.observer_quorum = 2;
   p.sender_spread = 2;
   // Subject 0 has observers {1 (suspect), 3 (credible)}: 1 credible < 2.
   EXPECT_TRUE(features_of(ev, 0, p).sender_eps.empty());
@@ -88,7 +86,6 @@ TEST(Features, SpatialCorrelationRespectsRadiusAndDelta) {
   FeatureParams p;
   p.sender_spread = 2;
   p.spatial_radius = 1.5;
-  p.correlation_delta = 5;
 
   auto make_ev = [&](platform::ComponentId other, tta::RoundId other_round) {
     EvidenceStore ev;
@@ -103,7 +100,7 @@ TEST(Features, SpatialCorrelationRespectsRadiusAndDelta) {
     return ev;
   };
 
-  // Neighbour (distance 1) within delta: correlated.
+  // Neighbour (distance 1) within the correlation delta of 10: correlated.
   {
     const auto ev = make_ev(2, 104);
     EXPECT_TRUE(features_of(ev, 1, p).observers_correlated());

@@ -171,8 +171,7 @@ TEST(TechnicianReport, OnaFindingsRendered) {
   rig.run(sim::seconds(5));
   const auto engine = OnaEngine::standard_rules();
   const auto& assessor = rig.diag().assessor();
-  const OnaContext ctx{1, assessor.component_features(1), rig.round(),
-                       assessor.feature_params()};
+  const OnaContext ctx{1, assessor.component_features(1), rig.round()};
   const auto text = analysis::render_ona_findings(engine, ctx);
   EXPECT_NE(text.find("wearout"), std::string::npos);
   EXPECT_NE(text.find("component-internal"), std::string::npos);

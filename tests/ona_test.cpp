@@ -44,8 +44,8 @@ EvidenceStore synthetic_sender_evidence(platform::ComponentId subject,
 
 OnaContext make_ctx(const EvidenceStore& ev, platform::ComponentId subject,
                     tta::RoundId now, const fault::SpatialLayout& layout) {
-  OnaContext ctx{subject, {}, now, FeatureParams{}};
-  EvidenceSummary(ctx.params, 0.999, 5, layout)
+  OnaContext ctx{subject, {}, now};
+  EvidenceSummary(FeatureParams{.sender_spread = 2}, 5, layout)
       .component_features(ev, subject, now, ctx.features);
   return ctx;
 }
@@ -54,8 +54,7 @@ OnaContext make_ctx(const EvidenceStore& ev, platform::ComponentId subject,
 OnaContext live_ctx(scenario::Fig10System& rig,
                     platform::ComponentId subject) {
   const Assessor& a = rig.diag().assessor();
-  return OnaContext{subject, a.component_features(subject), a.current_round(),
-                    a.feature_params()};
+  return OnaContext{subject, a.component_features(subject), a.current_round()};
 }
 
 TEST(OnaConditions, SenderEpisodeCountAtLeast) {

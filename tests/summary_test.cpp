@@ -24,7 +24,7 @@ constexpr std::uint32_t kComponents = 6;
 
 FeatureParams resolved_params() {
   FeatureParams p;
-  p.sender_spread = 3;  // what Classifier::resolved_features gives at N = 6
+  p.sender_spread = 3;  // what the summary resolves the auto bar to at N = 6
   return p;
 }
 
@@ -118,8 +118,7 @@ void run_oracle(std::uint64_t seed, tta::RoundId rounds,
                 tta::RoundId check_every, EvidenceStore& ev,
                 EvidenceSummary& folded, Perturb perturb) {
   const auto layout = fault::SpatialLayout::linear(kComponents);
-  const EvidenceSummary unfolded(resolved_params(), 0.999, kComponents,
-                                 layout);
+  const EvidenceSummary unfolded(resolved_params(), kComponents, layout);
   const Classifier classifier({}, layout);
   SymptomStream stream(seed);
   std::vector<Delivery> pending;
@@ -148,7 +147,7 @@ void run_oracle(std::uint64_t seed, tta::RoundId rounds,
 }
 
 EvidenceSummary make_summary() {
-  return EvidenceSummary(resolved_params(), 0.999, kComponents,
+  return EvidenceSummary(resolved_params(), kComponents,
                          fault::SpatialLayout::linear(kComponents));
 }
 
