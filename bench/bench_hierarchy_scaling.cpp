@@ -19,9 +19,9 @@
 //     both must be convicted, still with zero failovers.
 //
 // Counts and latencies are deterministic (fixed seed, logical time), so
-// the --json export is gated in CI against a checked-in baseline by
-// tools/check_hierarchy.cmake (exact equality on the structural fields,
-// tolerance on throughput-like ones).
+// the --json export is gated in CI by tools/check_bench.cmake under the
+// rules in bench/baselines/bench_hierarchy_scaling.json (exact equality
+// on the structural fields, a band on the traffic and latency ones).
 #include <cstdio>
 #include <string>
 #include <string_view>
