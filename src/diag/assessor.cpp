@@ -106,6 +106,7 @@ void Assessor::register_subject_job(platform::JobId job,
 void Assessor::bind_metrics(obs::Registry& registry) {
   metrics_ = &registry;
   class_metrics_ = {};
+  staleness_metrics_.assign(component_count_, std::nullopt);
   symptoms_metric_ = registry.counter("diag.symptoms_ingested");
   violations_metric_ = registry.counter("diag.trust_violations");
   gaps_metric_ = registry.counter("diag.assessor.symptom_gaps");
@@ -616,10 +617,12 @@ const VerdictDelta* Assessor::cached_job_delta(platform::JobId j) const {
 void Assessor::export_staleness() {
   if (!metrics_ || !p_.hardening) return;
   for (platform::ComponentId c = 0; c < component_count_; ++c) {
-    metrics_
-        ->gauge("diag.evidence_staleness",
-                std::string("fru=c") + std::to_string(c))
-        .set(static_cast<double>(evidence_age(c)));
+    auto& gauge = staleness_metrics_[c];
+    if (!gauge) {
+      gauge = metrics_->gauge("diag.evidence_staleness",
+                              "fru=c" + std::to_string(c));
+    }
+    gauge->set(static_cast<double>(evidence_age(c)));
   }
 }
 

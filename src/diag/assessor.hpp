@@ -395,6 +395,9 @@ class Assessor {
   mutable std::array<std::optional<obs::Counter>,
                      static_cast<std::size_t>(fault::FaultClass::kNone) + 1>
       class_metrics_;
+  /// diag.evidence_staleness{fru=cN} per component, bound on the first
+  /// export (see export_staleness()).
+  std::vector<std::optional<obs::Gauge>> staleness_metrics_;
   obs::Counter symptoms_metric_;
   obs::Counter violations_metric_;
   obs::Counter gaps_metric_;

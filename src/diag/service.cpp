@@ -49,6 +49,15 @@ DiagnosticService::DiagnosticService(platform::System& system, SpecTable specs,
        ++j) {
     subject_jobs_.push_back(j);
   }
+  // report() rows name their FRU by these labels; subjects are fixed now.
+  for (platform::ComponentId c = 0; c < system_.component_count(); ++c) {
+    component_frus_.push_back("component " + std::to_string(c));
+  }
+  for (platform::JobId j : subject_jobs_) {
+    const auto& job = system_.job(j);
+    job_frus_.push_back("job " + job.name() + " (j" + std::to_string(j) +
+                        ") on component " + std::to_string(job.host()));
+  }
 
   const platform::DasId das =
       system_.add_das("diagnostic", platform::Criticality::kSafetyCritical);
@@ -447,7 +456,7 @@ std::vector<FruReport> DiagnosticService::report() const {
     const VerdictDelta* delta = nullptr;
     const Assessor& a = active ? *active : *resolve_component(c, &delta);
     FruReport row;
-    row.fru = "component " + std::to_string(c);
+    row.fru = component_frus_[c];
     row.component = c;
     row.trust = delta ? delta->trust : a.component_trust(c);
     // One feature record per row: the verdict and the assertions judge
@@ -492,13 +501,13 @@ std::vector<FruReport> DiagnosticService::report() const {
     }
     rows.push_back(std::move(row));
   }
-  for (platform::JobId j : subject_jobs_) {
+  for (std::size_t i = 0; i < subject_jobs_.size(); ++i) {
+    const platform::JobId j = subject_jobs_[i];
     const auto& job = system_.job(j);
     const Assessor& a =
         active ? *active : *resolve_component(job.host(), nullptr);
     FruReport row;
-    row.fru = "job " + job.name() + " (j" + std::to_string(j) +
-              ") on component " + std::to_string(job.host());
+    row.fru = job_frus_[i];
     row.component = job.host();
     row.job = j;
     row.trust = active ? active->job_trust(j) : job_trust(j);
@@ -510,8 +519,10 @@ std::vector<FruReport> DiagnosticService::report() const {
     rows.push_back(std::move(row));
   }
   if (hierarchy_) {
-    metrics.gauge("diag.hierarchy.recomputes")
-        .set(static_cast<double>(view_topo_->recomputes()));
+    if (!recomputes_metric_) {
+      recomputes_metric_ = metrics.gauge("diag.hierarchy.recomputes");
+    }
+    recomputes_metric_->set(static_cast<double>(view_topo_->recomputes()));
   }
   return rows;
 }

@@ -227,6 +227,10 @@ class DiagnosticService {
   std::vector<std::unique_ptr<Assessor>> assessors_;
   std::vector<std::unique_ptr<Agent>> agents_;
   std::vector<platform::JobId> subject_jobs_;
+  /// report() row labels, built once at construction: one per component,
+  /// and one per subject job (parallel to subject_jobs_).
+  std::vector<std::string> component_frus_;
+  std::vector<std::string> job_frus_;
   std::map<platform::ComponentId, std::vector<ExternalOna>> external_onas_;
   bool hardening_ = true;
   bool hierarchy_ = false;
@@ -240,9 +244,11 @@ class DiagnosticService {
   mutable std::uint64_t failbacks_ = 0;
   // Metric handles bound on first use, so a series appears only once it
   // has a value: diag.ona_assertions per standard rule (+ the channel
-  // meta-ONA) and diag.evidence_staleness per component.
+  // meta-ONA), diag.evidence_staleness per component and (hierarchy
+  // mode) diag.hierarchy.recomputes.
   mutable std::vector<std::optional<obs::Counter>> ona_metrics_;
   mutable std::vector<std::optional<obs::Gauge>> staleness_metrics_;
+  mutable std::optional<obs::Gauge> recomputes_metric_;
 };
 
 }  // namespace decos::diag

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
+#include <utility>
+
+#include "sim/event_fn.hpp"
 
 namespace decos::tta {
 
@@ -83,6 +87,9 @@ bool Bus::transmit(NodeId sender, const Frame& frame) {
     Frame& m = master.mutate();
     for (auto& [id, hook] : tx_hooks_) hook(m, sender, now);
   }
+  // From here on the master's bytes are frozen (it is about to be
+  // shared), so its CRC verdict is computed once for every receiver.
+  const bool master_crc_ok = master->crc_ok();
 
   const sim::SimTime arrival = now + params_.propagation_delay;
   for (BusReceiver* rx : receivers_) {
@@ -102,11 +109,20 @@ bool Bus::transmit(NodeId sender, const Frame& frame) {
       copies_dropped_metric_.inc();
       continue;
     }
+    // A privatized delivery carries its own (corrupted) bytes and gets
+    // its own check; a hook may also have written the same bytes back.
+    const bool crc_ok = d.privatized() ? d.frame().crc_ok() : master_crc_ok;
     // The handle pins both the slot and the pool, so a delivery queued at
     // teardown outlives the bus safely.
-    sim_.schedule_at(
-        arrival, [rx, h = d.take(), arrival]() { rx->on_frame(*h, arrival); },
-        sim::EventPriority::kTransport);
+    auto on_arrival = [rx, h = d.take(), arrival, crc_ok]() {
+      rx->on_frame(*h, arrival, crc_ok);
+    };
+    // The broadcast path allocates nothing only while this closure fits
+    // the event's inline storage (E22).
+    static_assert(sizeof(on_arrival) <= sim::EventFn::kInlineCapacity &&
+                  std::is_nothrow_move_constructible_v<decltype(on_arrival)>);
+    sim_.schedule_at(arrival, std::move(on_arrival),
+                     sim::EventPriority::kTransport);
   }
   return true;
 }

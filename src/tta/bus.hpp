@@ -16,6 +16,12 @@
 // shared by every receiver and cloned only at the instant a hook actually
 // corrupts a delivery (copy-on-corrupt), so the fault-free broadcast path
 // allocates and copies nothing per receiver (E22).
+//
+// The CRC verdict travels with the delivery. The bus checks the master
+// frame once, after the sender-side hooks ran and before it is shared, and
+// every receiver of the shared bytes gets that verdict; only a delivery a
+// channel hook privatized is checked again, over its own copy. A
+// transmission thus costs one CRC check, not one per receiver.
 #pragma once
 
 #include <cstdint>
@@ -36,8 +42,10 @@ class BusReceiver {
  public:
   virtual ~BusReceiver() = default;
   /// Delivery of a frame (possibly corrupted by the channel). The
-  /// reference is only valid for the duration of the call.
-  virtual void on_frame(const Frame& frame, sim::SimTime arrival) = 0;
+  /// reference is only valid for the duration of the call. `crc_ok` is
+  /// `frame.crc_ok()` as the bus computed it for these exact bytes.
+  virtual void on_frame(const Frame& frame, sim::SimTime arrival,
+                        bool crc_ok) = 0;
   [[nodiscard]] virtual NodeId node_id() const = 0;
 };
 

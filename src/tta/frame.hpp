@@ -35,6 +35,9 @@ struct Frame {
   void seal() { crc = crc32(payload); }
 
   /// True when the stored CRC matches the (possibly corrupted) payload.
+  /// Recomputes over the bytes on every call; the bus checks each
+  /// distinct delivered byte content once and hands receivers the verdict
+  /// (BusReceiver::on_frame).
   [[nodiscard]] bool crc_ok() const { return crc == crc32(payload); }
 };
 

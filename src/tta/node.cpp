@@ -165,13 +165,14 @@ bool TtaNode::attempt_transmit_now() {
   return bus_.transmit(params_.id, frame);
 }
 
-void TtaNode::on_frame(const Frame& frame, sim::SimTime arrival) {
+void TtaNode::on_frame(const Frame& frame, sim::SimTime arrival,
+                       bool crc_ok) {
   if (faults_.rx_drop_prob > 0.0 && rng_.bernoulli(faults_.rx_drop_prob)) return;
 
   ++frames_heard_this_round_;
 
   // A desynchronised node integrates on the first valid frame it hears.
-  if (!in_sync_ && frame.crc_ok()) {
+  if (!in_sync_ && crc_ok) {
     reintegrate(frame, arrival);
     return;
   }
@@ -204,7 +205,11 @@ void TtaNode::on_frame(const Frame& frame, sim::SimTime arrival) {
   // (payload capacity retained), so the delivery path allocates nothing.
   if (!pending_valid_) {
     pending_.frame = frame;
-    if (rx_corrupt) pending_.frame.payload[rx_corrupt_idx] ^= 0x5A;
+    pending_.crc_ok = crc_ok;
+    if (rx_corrupt) {
+      pending_.frame.payload[rx_corrupt_idx] ^= 0x5A;
+      pending_.crc_ok = pending_.frame.crc_ok();
+    }
     pending_.arrival_offset = offset;
     pending_.timely = timely;
     pending_valid_ = true;
@@ -239,7 +244,7 @@ void TtaNode::close_slot(RoundId round, SlotId slot) {
       if (!p.timely || !slot_matches) {
         obs.verdict = SlotVerdict::kTimingError;
         slots_timing_metric_.inc();
-      } else if (!p.frame.crc_ok()) {
+      } else if (!p.crc_ok) {
         obs.verdict = SlotVerdict::kCrcError;
         slots_crc_metric_.inc();
       } else {

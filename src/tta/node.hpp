@@ -67,7 +67,8 @@ class TtaNode final : public BusReceiver {
   TtaNode(sim::Simulator& sim, Bus& bus, Params params);
 
   // BusReceiver
-  void on_frame(const Frame& frame, sim::SimTime arrival) override;
+  void on_frame(const Frame& frame, sim::SimTime arrival,
+                bool crc_ok) override;
   [[nodiscard]] NodeId node_id() const override { return params_.id; }
 
   /// Begins executing the schedule immediately, assumed synchronised
@@ -166,6 +167,9 @@ class TtaNode final : public BusReceiver {
     Frame frame;
     sim::Duration arrival_offset;
     bool timely = false;
+    /// CRC verdict of `frame` as stored: the bus's verdict, or a fresh
+    /// check when this node's receiver stage corrupted the copy.
+    bool crc_ok = false;
   };
   Pending pending_;
   bool pending_valid_ = false;

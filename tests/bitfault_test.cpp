@@ -196,62 +196,117 @@ TEST(FramePool, SoftCapFallbackIsCounted) {
 
 // --- bus-level isolation ----------------------------------------------------
 
+/// Counts deliveries and CRC failures, and checks on every delivery that
+/// the verdict the bus handed over equals a fresh check of the bytes.
 struct RecordingSink : tta::BusReceiver {
   tta::NodeId id = 0;
   std::uint64_t frames = 0;
   std::uint64_t crc_bad = 0;
-  void on_frame(const tta::Frame& f, sim::SimTime) override {
+  void on_frame(const tta::Frame& f, sim::SimTime, bool crc_ok) override {
+    EXPECT_EQ(crc_ok, f.crc_ok()) << "receiver " << id << " round " << f.round;
     ++frames;
-    if (!f.crc_ok()) ++crc_bad;
+    if (!crc_ok) ++crc_bad;
   }
   [[nodiscard]] tta::NodeId node_id() const override { return id; }
 };
 
-TEST(Bus, ChannelFaultCorruptsOnlyTheHookedReceiver) {
-  constexpr std::uint32_t kNodes = 4;
-  sim::Simulator s(3);
+/// A raw bus with one RecordingSink per node, every node broadcasting a
+/// sealed frame in its slot.
+struct SinkBus {
+  static constexpr std::uint32_t kNodes = 4;
+  sim::Simulator s{3};
   tta::TdmaSchedule sched{tta::TdmaSchedule::Params{
       .slots_per_round = kNodes, .slot_length = sim::microseconds(500)}};
-  tta::Bus bus(s, sched, tta::Bus::Params{});
+  tta::Bus bus{s, sched, tta::Bus::Params{}};
+  std::vector<RecordingSink> sinks = std::vector<RecordingSink>(kNodes);
 
-  std::vector<RecordingSink> sinks(kNodes);
-  for (std::uint32_t n = 0; n < kNodes; ++n) {
-    sinks[n].id = n;
-    bus.attach(sinks[n]);
+  SinkBus() {
+    for (std::uint32_t n = 0; n < kNodes; ++n) {
+      sinks[n].id = n;
+      bus.attach(sinks[n]);
+    }
   }
-  bus.add_channel_fault(
+
+  void run_rounds(tta::RoundId rounds) {
+    for (tta::RoundId r = 0; r < rounds; ++r) {
+      for (std::uint32_t node = 0; node < kNodes; ++node) {
+        tta::Frame f;
+        f.sender = node;
+        f.slot = node;
+        f.round = r;
+        f.payload = {static_cast<std::uint8_t>(r), 7, 7};
+        f.seal();
+        s.schedule_at(sched.send_instant(r, node), [this, node, f] {
+          (void)bus.transmit(node, f);
+        });
+      }
+    }
+    s.run_until(sched.slot_start(rounds, 0));
+  }
+};
+
+TEST(Bus, ChannelFaultCorruptsOnlyTheHookedReceiver) {
+  constexpr std::uint32_t kNodes = SinkBus::kNodes;
+  SinkBus rig;
+  rig.bus.add_channel_fault(
       [](tta::Delivery& d, tta::NodeId receiver, sim::SimTime) {
         if (receiver != 2 || d.frame().payload.empty()) return true;
         d.corrupt().payload[0] ^= 0xFF;
         return true;
       });
-
-  for (tta::RoundId r = 0; r < 10; ++r) {
-    for (std::uint32_t node = 0; node < kNodes; ++node) {
-      tta::Frame f;
-      f.sender = node;
-      f.slot = node;
-      f.round = r;
-      f.payload = {static_cast<std::uint8_t>(r), 7, 7};
-      f.seal();
-      s.schedule_at(sched.send_instant(r, node), [&bus, node, f] {
-        (void)bus.transmit(node, f);
-      });
-    }
-  }
-  s.run_until(sched.slot_start(10, 0));
+  rig.run_rounds(10);
 
   // The bus delivers to every node but the sender: kNodes - 1 per frame.
   for (std::uint32_t n = 0; n < kNodes; ++n) {
-    EXPECT_EQ(sinks[n].frames, 10u * (kNodes - 1)) << "receiver " << n;
+    EXPECT_EQ(rig.sinks[n].frames, 10u * (kNodes - 1)) << "receiver " << n;
     if (n == 2) {
-      EXPECT_EQ(sinks[n].crc_bad, 10u * (kNodes - 1));
+      EXPECT_EQ(rig.sinks[n].crc_bad, 10u * (kNodes - 1));
     } else {
-      EXPECT_EQ(sinks[n].crc_bad, 0u) << "receiver " << n;
+      EXPECT_EQ(rig.sinks[n].crc_bad, 0u) << "receiver " << n;
     }
   }
-  EXPECT_EQ(bus.frame_pool()->corrupt_copies(), 10u * (kNodes - 1));
-  EXPECT_EQ(bus.frame_pool()->in_use(), 0u);
+  EXPECT_EQ(rig.bus.frame_pool()->corrupt_copies(), 10u * (kNodes - 1));
+  EXPECT_EQ(rig.bus.frame_pool()->in_use(), 0u);
+}
+
+TEST(Bus, TxFaultFailsTheCrcAtEveryReceiver) {
+  constexpr std::uint32_t kNodes = SinkBus::kNodes;
+  SinkBus rig;
+  // Sender 1's master frame is corrupted before it is shared.
+  rig.bus.add_tx_fault([](tta::Frame& f, tta::NodeId sender, sim::SimTime) {
+    if (sender == 1) f.payload[1] ^= 0x10;
+  });
+  rig.run_rounds(10);
+
+  // Every receiver but node 1 hears 10 bad frames from node 1; node 1
+  // hears none of its own and nothing else is bad.
+  for (std::uint32_t n = 0; n < kNodes; ++n) {
+    EXPECT_EQ(rig.sinks[n].frames, 10u * (kNodes - 1)) << "receiver " << n;
+    EXPECT_EQ(rig.sinks[n].crc_bad, n == 1 ? 0u : 10u) << "receiver " << n;
+  }
+  EXPECT_EQ(rig.bus.frame_pool()->corrupt_copies(), 0u);
+}
+
+TEST(Bus, PrivatizedDeliveryIsCheckedNotAssumedBad) {
+  constexpr std::uint32_t kNodes = SinkBus::kNodes;
+  SinkBus rig;
+  // The hook privatizes receiver 3's copy but writes the same byte back:
+  // the copy is private, yet its CRC still holds.
+  rig.bus.add_channel_fault(
+      [](tta::Delivery& d, tta::NodeId receiver, sim::SimTime) {
+        if (receiver != 3) return true;
+        tta::Frame& mine = d.corrupt();
+        mine.payload[0] ^= 0xFF;
+        mine.payload[0] ^= 0xFF;
+        return true;
+      });
+  rig.run_rounds(10);
+
+  for (std::uint32_t n = 0; n < kNodes; ++n) {
+    EXPECT_EQ(rig.sinks[n].frames, 10u * (kNodes - 1)) << "receiver " << n;
+    EXPECT_EQ(rig.sinks[n].crc_bad, 0u) << "receiver " << n;
+  }
+  EXPECT_EQ(rig.bus.frame_pool()->corrupt_copies(), 10u * (kNodes - 1));
 }
 
 // --- the plane on the Fig. 10 rig -------------------------------------------

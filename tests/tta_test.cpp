@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <random>
+#include <span>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -22,6 +24,31 @@ TEST(Crc32, KnownVector) {
   // CRC-32("123456789") = 0xCBF43926 (IEEE 802.3).
   const std::uint8_t data[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
   EXPECT_EQ(crc32(data), 0xCBF43926u);
+}
+
+/// Bytewise reference: the textbook reflected CRC-32, one bit at a time.
+std::uint32_t reference_crc32(const std::uint8_t* p, std::size_t n) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  // Every length 0..67 at every start offset 0..7: the 8-byte step, the
+  // tail loop and every alignment of both.
+  std::mt19937 rng(20050404);
+  std::vector<std::uint8_t> buf(8 + 67);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 67; ++len) {
+      const std::span<const std::uint8_t> bytes(buf.data() + off, len);
+      EXPECT_EQ(crc32(bytes), reference_crc32(bytes.data(), len))
+          << "offset " << off << " length " << len;
+    }
+  }
 }
 
 TEST(Frame, SealAndDetectCorruption) {
