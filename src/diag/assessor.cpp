@@ -104,9 +104,6 @@ void Assessor::register_subject_job(platform::JobId job,
 }
 
 void Assessor::bind_metrics(obs::Registry& registry) {
-  metrics_ = &registry;
-  class_metrics_ = {};
-  staleness_metrics_.assign(component_count_, std::nullopt);
   symptoms_metric_ = registry.counter("diag.symptoms_ingested");
   violations_metric_ = registry.counter("diag.trust_violations");
   gaps_metric_ = registry.counter("diag.assessor.symptom_gaps");
@@ -182,9 +179,7 @@ bool Assessor::evidence_fresh(platform::ComponentId c) const {
 }
 
 double Assessor::job_evidence_quality(platform::JobId j) const {
-  auto it = job_host_.find(j);
-  if (it == job_host_.end()) return evidence_quality(0);
-  return evidence_quality(it->second);
+  return evidence_quality(host_of(j));
 }
 
 void Assessor::track_channel(platform::ComponentId agent,
@@ -425,7 +420,6 @@ void Assessor::process(platform::JobContext& ctx) {
     for (platform::ComponentId c = 0; c < component_count_; ++c) {
       component_trajectories_[c].push_back(TrustSample{round_, component_trust_[c]});
     }
-    export_staleness();
   }
 
   // Dedupe keys older than the window can never be duplicated again (the
@@ -614,18 +608,6 @@ const VerdictDelta* Assessor::cached_job_delta(platform::JobId j) const {
   return it == delta_cache_.end() ? nullptr : &it->second;
 }
 
-void Assessor::export_staleness() {
-  if (!metrics_ || !p_.hardening) return;
-  for (platform::ComponentId c = 0; c < component_count_; ++c) {
-    auto& gauge = staleness_metrics_[c];
-    if (!gauge) {
-      gauge = metrics_->gauge("diag.evidence_staleness",
-                              "fru=c" + std::to_string(c));
-    }
-    gauge->set(static_cast<double>(evidence_age(c)));
-  }
-}
-
 void Assessor::reset_component_trust(platform::ComponentId c) {
   component_trust_.at(c) = kInitialTrust;
   component_violation_round_.erase(c);
@@ -666,9 +648,7 @@ void Assessor::reconcile_from(const Assessor& fresher) {
     }
   }
   for (auto& [j, trust] : job_trust_) {
-    auto host_it = job_host_.find(j);
-    const platform::ComponentId host =
-        host_it == job_host_.end() ? 0 : host_it->second;
+    const platform::ComponentId host = host_of(j);
     auto theirs = fresher.job_trust_.find(j);
     if (theirs != fresher.job_trust_.end() &&
         fresher.channels_[host].last_heard >= channels_[host].last_heard) {
@@ -700,47 +680,32 @@ ComponentFeatures Assessor::component_features(platform::ComponentId c) const {
   return f;
 }
 
-void Assessor::count_classification(fault::FaultClass cls) const {
-  if (!metrics_) return;
-  auto& counter = class_metrics_[static_cast<std::size_t>(cls)];
-  if (!counter) {
-    counter = metrics_->counter("diag.classifications",
-                                std::string("cls=") + fault::to_string(cls));
-  }
-  counter->inc();
-}
-
 Diagnosis Assessor::diagnose_component(platform::ComponentId c) const {
   return diagnose_component(c, component_features(c));
 }
 
 Diagnosis Assessor::diagnose_component(platform::ComponentId c,
                                        const ComponentFeatures& f) const {
-  Diagnosis d = classifier_.classify_component(store_, c, round_, f);
-  count_classification(d.cls);
-  if (prov_ && prov_->enabled() && d.cls != fault::FaultClass::kNone) {
-    prov_->event(prov_->journey_for_component(c), obs::ProvStage::kVerdict,
-                 "assessor", fault::to_string(d.cls), round_);
-  }
-  return d;
+  return classifier_.classify_component(store_, c, round_, f);
+}
+
+platform::ComponentId Assessor::host_of(platform::JobId j) const {
+  const auto it = job_host_.find(j);
+  return it == job_host_.end() ? 0 : it->second;
 }
 
 Diagnosis Assessor::diagnose_job(platform::JobId j) const {
-  const auto host_it = job_host_.find(j);
-  const platform::ComponentId host =
-      host_it == job_host_.end() ? 0 : host_it->second;
-  const Diagnosis host_diag = diagnose_component(host);
+  return diagnose_job(j, diagnose_component(host_of(j)));
+}
+
+Diagnosis Assessor::diagnose_job(platform::JobId j,
+                                 const Diagnosis& host_diagnosis) const {
   static const std::vector<platform::JobId> kNoSiblings;
-  const auto sib_it = jobs_by_host_.find(host);
+  const auto sib_it = jobs_by_host_.find(host_of(j));
   const auto& siblings =
       sib_it == jobs_by_host_.end() ? kNoSiblings : sib_it->second;
-  Diagnosis d = classifier_.classify_job(store_, j, host_diag, siblings, round_);
-  count_classification(d.cls);
-  if (prov_ && prov_->enabled() && d.cls != fault::FaultClass::kNone) {
-    prov_->event(prov_->journey_for_job(j), obs::ProvStage::kVerdict,
-                 "assessor", fault::to_string(d.cls), round_);
-  }
-  return d;
+  return classifier_.classify_job(store_, j, host_diagnosis, siblings,
+                                  round_);
 }
 
 }  // namespace decos::diag

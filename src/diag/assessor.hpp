@@ -21,7 +21,6 @@
 // observation key so resends never double-charge trust.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -107,7 +106,7 @@ class Assessor {
   void set_flight_recorder(DiagnosticLog* log) { recorder_ = log; }
 
   /// Binds the assessor's instrumentation (symptoms ingested, trust
-  /// violations, classifications per fault class) to `registry`, which
+  /// violations, channel gaps and drops) to `registry`, which
   /// must outlive the assessor. DiagnosticService binds to the
   /// simulator's registry automatically.
   void bind_metrics(obs::Registry& registry);
@@ -120,10 +119,10 @@ class Assessor {
   void bind_hierarchy_metrics(obs::Registry& registry);
 
   /// Attaches the provenance tracer (not owned; nullptr detaches): every
-  /// ingested symptom appends a kEvidence span, the first trust violation
-  /// per FRU and each classification append kVerdict spans — all linked to
-  /// the injected fault's journey via the subject FRU. DiagnosticService
-  /// binds the simulator's tracer automatically.
+  /// ingested symptom appends a kEvidence span and the first trust
+  /// violation per FRU a kVerdict span — all linked to the injected
+  /// fault's journey via the subject FRU. DiagnosticService binds the
+  /// simulator's tracer automatically (and traces classifications itself).
   void bind_provenance(obs::ProvenanceTracer* prov) { prov_ = prov; }
 
   /// Attaches the fault-point registry (not owned; nullptr detaches): the
@@ -219,6 +218,9 @@ class Assessor {
   [[nodiscard]] Diagnosis diagnose_component(
       platform::ComponentId c, const ComponentFeatures& f) const;
   [[nodiscard]] Diagnosis diagnose_job(platform::JobId j) const;
+  /// Verdict on `j` given its host's verdict for this round.
+  [[nodiscard]] Diagnosis diagnose_job(platform::JobId j,
+                                       const Diagnosis& host_diagnosis) const;
 
   [[nodiscard]] double component_trust(platform::ComponentId c) const {
     return component_trust_.at(c);
@@ -299,9 +301,9 @@ class Assessor {
   tta::RoundId last_sample_ = 0;
   DiagnosticLog* recorder_ = nullptr;
 
+  [[nodiscard]] platform::ComponentId host_of(platform::JobId j) const;
   void note_component_trust(platform::ComponentId c);
   void note_job_trust(platform::JobId j);
-  void count_classification(fault::FaultClass cls) const;
 
   /// Journey owning the symptom's subject FRU (job first, else component);
   /// kNoJourney when tracing is off or the FRU has no active journey.
@@ -319,7 +321,6 @@ class Assessor {
   /// True if the symptom's observation key has not been seen within the
   /// dedupe window (and records it).
   bool dedupe_accept(const Symptom& s);
-  void export_staleness();
 
   /// Observation key: unique per symptom because agents coalesce to at
   /// most one symptom per (type, subject) per observation round.
@@ -389,15 +390,6 @@ class Assessor {
   obs::Counter hier_duplicate_metric_;
   obs::Counter hier_rejected_metric_;
 
-  obs::Registry* metrics_ = nullptr;  // for label-keyed lazy registration
-  /// diag.classifications{cls=...} per fault class, bound on first use so
-  /// a series appears only once it has counted.
-  mutable std::array<std::optional<obs::Counter>,
-                     static_cast<std::size_t>(fault::FaultClass::kNone) + 1>
-      class_metrics_;
-  /// diag.evidence_staleness{fru=cN} per component, bound on the first
-  /// export (see export_staleness()).
-  std::vector<std::optional<obs::Gauge>> staleness_metrics_;
   obs::Counter symptoms_metric_;
   obs::Counter violations_metric_;
   obs::Counter gaps_metric_;

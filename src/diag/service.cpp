@@ -1,6 +1,8 @@
 #include "diag/service.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 #include <string_view>
 
 namespace decos::diag {
@@ -41,8 +43,10 @@ DiagnosticService::DiagnosticService(platform::System& system, SpecTable specs,
     : system_(system), specs_(std::move(specs)),
       hardening_(params.assessor.hardening),
       hierarchy_(params.hierarchy),
-      ona_metrics_(standard_onas().rules().size() + 1),
-      staleness_metrics_(system.component_count()) {
+      component_verdicts_(system.component_count(), fault::FaultClass::kNone),
+      asserted_onas_(system.component_count(), 0),
+      host_diag_(system.component_count()) {
+  assert(standard_onas().rules().size() < 32);  // bits of asserted_onas_
   // Application jobs existing now are the diagnosis subjects; everything
   // created below belongs to the diagnostic DAS.
   for (platform::JobId j = 0; j < static_cast<platform::JobId>(system_.job_count());
@@ -57,6 +61,14 @@ DiagnosticService::DiagnosticService(platform::System& system, SpecTable specs,
     const auto& job = system_.job(j);
     job_frus_.push_back("job " + job.name() + " (j" + std::to_string(j) +
                         ") on component " + std::to_string(job.host()));
+  }
+  job_verdicts_.assign(subject_jobs_.size(), fault::FaultClass::kNone);
+  obs::Registry& metrics = system_.simulator().metrics();
+  // Hardening exports each component's evidence staleness.
+  const std::size_t stale_gauges = hardening_ ? component_frus_.size() : 0;
+  for (std::size_t c = 0; c < stale_gauges; ++c) {
+    staleness_metrics_.push_back(
+        metrics.gauge("diag.evidence_staleness", "fru=c" + std::to_string(c)));
   }
 
   const platform::DasId das =
@@ -82,20 +94,20 @@ DiagnosticService::DiagnosticService(platform::System& system, SpecTable specs,
         das, i == 0 ? "diag.assessor" : "diag.assessor.r" + std::to_string(i),
         hosts_[i],
         [this, assessor, i](platform::JobContext& ctx) {
-          if (hierarchy_) {
-            // The overlay replaces failover: each position re-derives its
-            // tester sets from its own host's membership view, so a dead
-            // assessor's slice migrates by local recomputation alone.
-            refresh_local_view(*assessor, i);
-            assessor->process(ctx);
-            return;
-          }
+          // The overlay replaces failover: each position re-derives its
+          // tester sets from its own host's membership view, so a dead
+          // assessor's slice migrates by local recomputation alone.
+          if (hierarchy_) refresh_local_view(*assessor, i);
           assessor->process(ctx);
-          // Re-evaluate failover in-band every assessment round, not only
-          // when a client queries: an outage that begins AND ends between
-          // two report() calls must still promote the replica, reconcile
-          // on revival, and show up in the failover counters.
+          // Failover is evaluated here and nowhere else: an outage that
+          // begins and ends between two queries still promotes the
+          // replica and reconciles on revival.
           check_failover();
+          // One verdict pass per round, after failover: run by the active
+          // assessor, or in hierarchy mode by the first position to run.
+          if ((hierarchy_ || i == active_) && ctx.round() != last_pass_) {
+            verdict_pass(ctx.round());
+          }
         });
     assessor_jobs_.push_back(job.id());
     for (platform::JobId j : subject_jobs_) {
@@ -173,11 +185,11 @@ DiagnosticService::DiagnosticService(platform::System& system, SpecTable specs,
       }
       agents_[c]->enable_hierarchy(&*view_topo_, std::move(tester_ports));
     }
-    obs::Registry& metrics = system_.simulator().metrics();
     metrics.gauge("diag.hierarchy.dimension")
         .set(static_cast<double>(dim));
     metrics.gauge("diag.hierarchy.positions")
         .set(static_cast<double>(view_topo_->positions()));
+    recomputes_metric_ = metrics.gauge("diag.hierarchy.recomputes");
   }
 }
 
@@ -191,7 +203,7 @@ void DiagnosticService::refresh_local_view(Assessor& a, std::size_t i) {
   a.refresh_topology(alive_scratch_);
 }
 
-void DiagnosticService::refresh_view() const {
+void DiagnosticService::refresh_view() {
   // The engineer-facing view composes each host's *self*-liveness — the
   // same fail-silent self-exclusion rule every assessor applies locally.
   alive_scratch_.assign(hosts_.size(), false);
@@ -201,15 +213,10 @@ void DiagnosticService::refresh_view() const {
   view_topo_->update(alive_scratch_);
 }
 
-const HierarchyTopology& DiagnosticService::topology() const {
-  refresh_view();
-  return *view_topo_;
-}
-
 const Assessor* DiagnosticService::resolve_component(
     platform::ComponentId c, const VerdictDelta** delta) const {
-  refresh_view();
   if (delta) *delta = nullptr;
+  if (!hierarchy_) return assessors_[active_].get();
   const auto& testers = view_topo_->testers(c);
   for (const HierarchyTopology::Position p : testers) {
     const Assessor& a = *assessors_[p];
@@ -228,40 +235,39 @@ const Assessor* DiagnosticService::resolve_component(
   return assessors_.front().get();
 }
 
+const Assessor* DiagnosticService::resolve_job(
+    platform::JobId j, const VerdictDelta** delta) const {
+  const platform::ComponentId host = system_.job(j).host();
+  const Assessor* a = resolve_component(host, nullptr);
+  // A tester that never heard the host's agent serves the job's
+  // disseminated verdict, if it caches one.
+  *delta = a->ever_heard(host) ? nullptr : a->cached_job_delta(j);
+  return a;
+}
+
 double DiagnosticService::component_trust(platform::ComponentId c) const {
-  if (!hierarchy_) return assessor().component_trust(c);
   const VerdictDelta* d = nullptr;
   const Assessor* a = resolve_component(c, &d);
   return d ? d->trust : a->component_trust(c);
 }
 
 double DiagnosticService::job_trust(platform::JobId j) const {
-  if (!hierarchy_) return assessor().job_trust(j);
-  const platform::ComponentId host = system_.job(j).host();
-  const Assessor* a = resolve_component(host, nullptr);
-  if (a->ever_heard(host)) return a->job_trust(j);
-  if (const VerdictDelta* d = a->cached_job_delta(j)) return d->trust;
-  return a->job_trust(j);
+  const VerdictDelta* d = nullptr;
+  const Assessor* a = resolve_job(j, &d);
+  return d ? d->trust : a->job_trust(j);
 }
 
 Diagnosis DiagnosticService::diagnose_component(
     platform::ComponentId c) const {
-  if (!hierarchy_) return assessor().diagnose_component(c);
   const VerdictDelta* d = nullptr;
   const Assessor* a = resolve_component(c, &d);
   return d ? disseminated(*d) : a->diagnose_component(c);
 }
 
 Diagnosis DiagnosticService::diagnose_job(platform::JobId j) const {
-  if (!hierarchy_) return assessor().diagnose_job(j);
-  const platform::ComponentId host = system_.job(j).host();
-  const Assessor* a = resolve_component(host, nullptr);
-  if (!a->ever_heard(host)) {
-    if (const VerdictDelta* d = a->cached_job_delta(j)) {
-      return disseminated(*d);
-    }
-  }
-  return a->diagnose_job(j);
+  const VerdictDelta* d = nullptr;
+  const Assessor* a = resolve_job(j, &d);
+  return d ? disseminated(*d) : a->diagnose_job(j);
 }
 
 std::optional<tta::RoundId> DiagnosticService::first_component_violation(
@@ -320,7 +326,7 @@ bool DiagnosticService::host_alive(platform::ComponentId c) const {
   return ((node.membership() >> c) & 1u) != 0;
 }
 
-void DiagnosticService::check_failover() const {
+void DiagnosticService::check_failover() {
   // The overlay has no active assessor to fail over: tester reassignment
   // on membership change is the (strictly more general) healing mechanism.
   if (hierarchy_) return;
@@ -383,18 +389,17 @@ void DiagnosticService::check_failover() const {
 void DiagnosticService::assert_external_ona(platform::ComponentId c,
                                             const std::string& name) {
   auto& onas = external_onas_[c];
-  if (std::none_of(onas.begin(), onas.end(),
-                   [&](const ExternalOna& o) { return o.name == name; })) {
-    onas.push_back(ExternalOna{name, std::nullopt});
-  }
+  if (std::find(onas.begin(), onas.end(), name) != onas.end()) return;
+  onas.push_back(name);
+  system_.simulator().metrics().counter("diag.ona_assertions", "ona=" + name)
+      .inc();
 }
 
 void DiagnosticService::retract_external_ona(platform::ComponentId c,
                                              const std::string& name) {
   auto it = external_onas_.find(c);
   if (it == external_onas_.end()) return;
-  std::erase_if(it->second,
-                [&](const ExternalOna& o) { return o.name == name; });
+  std::erase(it->second, name);
 }
 
 void DiagnosticService::reset_component_trust(platform::ComponentId c) {
@@ -448,13 +453,13 @@ std::vector<FruReport> DiagnosticService::report() const {
   // each component row is answered by its serving tester (local evidence
   // first, disseminated verdict as the fallback), so no single assessor
   // ever needs the whole cluster's evidence in memory.
-  const Assessor* active = hierarchy_ ? nullptr : &assessor();
   const OnaEngine& onas = standard_onas();
-  obs::Registry& metrics = system_.simulator().metrics();
   std::vector<FruReport> rows;
+  // Each component's own classification; its job rows reuse it.
+  std::vector<Diagnosis> host_diag(system_.component_count());
   for (platform::ComponentId c = 0; c < system_.component_count(); ++c) {
     const VerdictDelta* delta = nullptr;
-    const Assessor& a = active ? *active : *resolve_component(c, &delta);
+    const Assessor& a = *resolve_component(c, &delta);
     FruReport row;
     row.fru = component_frus_[c];
     row.component = c;
@@ -462,82 +467,121 @@ std::vector<FruReport> DiagnosticService::report() const {
     // One feature record per row: the verdict and the assertions judge
     // the same state.
     const OnaContext ctx{c, a.component_features(c), a.current_round()};
-    row.diagnosis =
-        delta ? disseminated(*delta) : a.diagnose_component(c, ctx.features);
+    host_diag[c] = a.diagnose_component(c, ctx.features);
+    row.diagnosis = delta ? disseminated(*delta) : host_diag[c];
     row.action = row.diagnosis.action();
     row.evidence_quality = delta ? 0.0 : a.evidence_quality(c);
     row.evidence_age = a.evidence_age(c);
     row.evidence_fresh = delta ? false : a.evidence_fresh(c);
     for (const auto* hit : onas.evaluate(ctx)) {
       row.asserted_onas.push_back(hit->name());
-      count_ona(static_cast<std::size_t>(hit - onas.rules().data()));
     }
     // Meta-ONA: the diagnostic channel itself is out of norm — the FRU's
     // agent has gone silent and this row's verdict rests on stale data.
     if (a.channel_degraded(c)) {
       row.asserted_onas.emplace_back(kChannelDegraded);
-      count_ona(onas.rules().size());
     }
     auto ext = external_onas_.find(c);
     if (ext != external_onas_.end()) {
-      for (const ExternalOna& ona : ext->second) {
-        row.asserted_onas.push_back(ona.name);
-        if (!ona.counter) {
-          ona.counter =
-              metrics.counter("diag.ona_assertions", "ona=" + ona.name);
-        }
-        ona.counter->inc();
-      }
-    }
-    if (active) {
-      // Keep the staleness gauges tracking the *active* assessor's view,
-      // so the exported metrics survive a primary death.
-      auto& gauge = staleness_metrics_[c];
-      if (!gauge) {
-        gauge = metrics.gauge("diag.evidence_staleness",
-                              "fru=c" + std::to_string(c));
-      }
-      gauge->set(static_cast<double>(row.evidence_age));
+      row.asserted_onas.insert(row.asserted_onas.end(), ext->second.begin(),
+                               ext->second.end());
     }
     rows.push_back(std::move(row));
   }
   for (std::size_t i = 0; i < subject_jobs_.size(); ++i) {
     const platform::JobId j = subject_jobs_[i];
-    const auto& job = system_.job(j);
-    const Assessor& a =
-        active ? *active : *resolve_component(job.host(), nullptr);
+    const platform::ComponentId host = system_.job(j).host();
+    const VerdictDelta* delta = nullptr;
+    const Assessor& a = *resolve_job(j, &delta);
     FruReport row;
     row.fru = job_frus_[i];
-    row.component = job.host();
+    row.component = host;
     row.job = j;
-    row.trust = active ? active->job_trust(j) : job_trust(j);
-    row.diagnosis = active ? active->diagnose_job(j) : diagnose_job(j);
+    row.trust = delta ? delta->trust : a.job_trust(j);
+    row.diagnosis =
+        delta ? disseminated(*delta) : a.diagnose_job(j, host_diag[host]);
     row.action = row.diagnosis.action();
     row.evidence_quality = a.job_evidence_quality(j);
-    row.evidence_age = a.evidence_age(job.host());
-    row.evidence_fresh = a.evidence_fresh(job.host());
+    row.evidence_age = a.evidence_age(host);
+    row.evidence_fresh = a.evidence_fresh(host);
     rows.push_back(std::move(row));
-  }
-  if (hierarchy_) {
-    if (!recomputes_metric_) {
-      recomputes_metric_ = metrics.gauge("diag.hierarchy.recomputes");
-    }
-    recomputes_metric_->set(static_cast<double>(view_topo_->recomputes()));
   }
   return rows;
 }
 
-void DiagnosticService::count_ona(std::size_t rule) const {
-  auto& counter = ona_metrics_[rule];
-  if (!counter) {
-    const OnaEngine& onas = standard_onas();
-    const std::string name = rule < onas.rules().size()
-                                 ? onas.rules()[rule].name()
-                                 : std::string(kChannelDegraded);
-    counter = system_.simulator().metrics().counter("diag.ona_assertions",
-                                                    "ona=" + name);
+void DiagnosticService::verdict_pass(tta::RoundId round) {
+  last_pass_ = round;
+  if (hierarchy_) {
+    refresh_view();
+    recomputes_metric_.set(static_cast<double>(view_topo_->recomputes()));
   }
-  counter->inc();
+  const OnaEngine& onas = standard_onas();
+  const std::uint32_t channel_bit = 1u << onas.rules().size();
+  for (platform::ComponentId c = 0; c < system_.component_count(); ++c) {
+    const VerdictDelta* delta = nullptr;
+    const Assessor& a = *resolve_component(c, &delta);
+    if (hardening_) {
+      staleness_metrics_[c].set(static_cast<double>(a.evidence_age(c)));
+    }
+    host_diag_[c].reset();
+    std::uint32_t asserted = a.channel_degraded(c) ? channel_bit : 0;
+    fault::FaultClass cls = fault::FaultClass::kNone;
+    const double trust = delta ? delta->trust : a.component_trust(c);
+    if (trust < TrustParams::report_threshold) {
+      const OnaContext ctx{c, a.component_features(c), a.current_round()};
+      host_diag_[c] = a.diagnose_component(c, ctx.features);
+      cls = delta ? delta->cls : host_diag_[c]->cls;
+      for (const auto* hit : onas.evaluate(ctx)) {
+        asserted |= 1u << (hit - onas.rules().data());
+      }
+    }
+    // Onsets only: an assertion that holds round after round counts once.
+    for (std::uint32_t rise = asserted & ~asserted_onas_[c]; rise != 0;
+         rise &= rise - 1) {
+      const auto r = static_cast<std::size_t>(std::countr_zero(rise));
+      system_.simulator().metrics().counter("diag.ona_assertions",
+          "ona=" + (r < onas.rules().size() ? onas.rules()[r].name()
+                                            : std::string(kChannelDegraded)))
+          .inc();
+    }
+    asserted_onas_[c] = asserted;
+    settle_verdict(component_verdicts_[c],
+                   VerdictChange{component_frus_[c], c, std::nullopt, cls},
+                   round);
+  }
+  for (std::size_t i = 0; i < subject_jobs_.size(); ++i) {
+    const platform::JobId j = subject_jobs_[i];
+    const platform::ComponentId host = system_.job(j).host();
+    const VerdictDelta* delta = nullptr;
+    const Assessor& a = *resolve_job(j, &delta);
+    fault::FaultClass cls = fault::FaultClass::kNone;
+    if (delta) {
+      if (delta->trust < TrustParams::report_threshold) cls = delta->cls;
+    } else if (a.job_trust(j) < TrustParams::report_threshold) {
+      if (!host_diag_[host]) host_diag_[host] = a.diagnose_component(host);
+      cls = a.diagnose_job(j, *host_diag_[host]).cls;
+    }
+    settle_verdict(job_verdicts_[i],
+                   VerdictChange{job_frus_[i], host, j, cls}, round);
+  }
+}
+
+void DiagnosticService::settle_verdict(fault::FaultClass& held,
+                                       const VerdictChange& change,
+                                       tta::RoundId round) {
+  if (change.cls == held) return;
+  held = change.cls;
+  system_.simulator().metrics().counter("diag.classifications",
+      std::string("cls=") + fault::to_string(change.cls)).inc();
+  obs::ProvenanceTracer& prov = system_.simulator().provenance();
+  if (prov.enabled() && change.cls != fault::FaultClass::kNone) {
+    const obs::ProvenanceId journey =
+        change.job ? prov.journey_for_job(*change.job)
+                   : prov.journey_for_component(change.component);
+    prov.event(journey, obs::ProvStage::kVerdict, "assessor",
+               fault::to_string(change.cls), round);
+  }
+  if (listener_) listener_(change);
 }
 
 }  // namespace decos::diag

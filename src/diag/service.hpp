@@ -18,10 +18,12 @@
 // "verified healthy" and "no recent evidence" are never conflated.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "diag/agent.hpp"
@@ -68,8 +70,19 @@ struct FruReport {
   }
 };
 
+/// A verdict transition found by the per-round verdict pass.
+struct VerdictChange {
+  std::string_view fru;  // the FRU's report-row label
+  platform::ComponentId component = 0;
+  std::optional<platform::JobId> job;
+  /// The new verdict; kNone when the FRU is unreported or unclassified.
+  fault::FaultClass cls = fault::FaultClass::kNone;
+};
+
 class DiagnosticService {
  public:
+  using VerdictListener = std::function<void(const VerdictChange&)>;
+
   struct Params {
     /// Component hosting the (primary) assessor job.
     platform::ComponentId assessor_host = 0;
@@ -94,23 +107,16 @@ class DiagnosticService {
                     fault::SpatialLayout layout, Params params);
 
   /// The ACTIVE assessor: the primary while its host lives, otherwise the
-  /// promoted replica (failover is evaluated lazily on access).
-  [[nodiscard]] Assessor& assessor() {
-    check_failover();
-    return *assessors_[active_];
-  }
+  /// promoted replica (failover is evaluated once per assessment round).
+  [[nodiscard]] Assessor& assessor() { return *assessors_[active_]; }
   [[nodiscard]] const Assessor& assessor() const {
-    check_failover();
     return *assessors_[active_];
   }
   /// Replica access by fixed index (0 = primary), failover-independent.
   [[nodiscard]] Assessor& assessor(std::size_t i) { return *assessors_.at(i); }
   [[nodiscard]] std::size_t assessor_count() const { return assessors_.size(); }
   /// Index of the currently active assessor (0 = primary).
-  [[nodiscard]] std::size_t active_assessor() const {
-    check_failover();
-    return active_;
-  }
+  [[nodiscard]] std::size_t active_assessor() const { return active_; }
   /// Promotions of a replica after the active assessor's host died.
   [[nodiscard]] std::uint64_t failovers() const { return failovers_; }
   /// Reconciled hand-backs to a revived higher-priority host.
@@ -131,8 +137,8 @@ class DiagnosticService {
 
   /// Asserts an ONA on a component from outside the evidence-store rule
   /// base (e.g. the TMR gateway's redundancy-loss transition). The name
-  /// appears in the component's report row and in the
-  /// `diag.ona_assertions` counter; `retract_external_ona` clears it.
+  /// appears in the component's report row, and each onset counts once in
+  /// `diag.ona_assertions`; `retract_external_ona` clears it.
   void assert_external_ona(platform::ComponentId c, const std::string& name);
   void retract_external_ona(platform::ComponentId c, const std::string& name);
 
@@ -158,8 +164,10 @@ class DiagnosticService {
   // falling back to the disseminated verdict cache when the responsible
   // tester was reassigned and never heard the FRU's agent itself.
   /// The service's overlay view (hierarchy mode only), refreshed from the
-  /// hosts' self-membership on access.
-  [[nodiscard]] const HierarchyTopology& topology() const;
+  /// hosts' self-membership by every verdict pass.
+  [[nodiscard]] const HierarchyTopology& topology() const {
+    return *view_topo_;
+  }
   [[nodiscard]] double component_trust(platform::ComponentId c) const;
   [[nodiscard]] double job_trust(platform::JobId j) const;
   [[nodiscard]] Diagnosis diagnose_component(platform::ComponentId c) const;
@@ -176,8 +184,15 @@ class DiagnosticService {
   /// jobs. Only FRUs whose trust fell below the report threshold carry a
   /// non-kNone diagnosis request, but every FRU is listed. Rows whose
   /// agent channel is degraded carry the "diagnostic-channel-degraded"
-  /// meta-ONA and a reduced evidence quality.
+  /// meta-ONA and a reduced evidence quality. Like every query above, a
+  /// pure read: state changes only in the per-round verdict pass.
   [[nodiscard]] std::vector<FruReport> report() const;
+
+  /// Installs the single subscriber (nullptr removes it). Once per
+  /// assessment round the verdict pass classifies every reported FRU
+  /// (trust below TrustParams::report_threshold; any other FRU's verdict
+  /// is kNone) and hands each FRU whose verdict changed to it.
+  void subscribe(VerdictListener listener) { listener_ = std::move(listener); }
 
   /// Correlates the injector's ground-truth ledger with the active
   /// assessor's first trust violations and records, for every injected
@@ -191,33 +206,34 @@ class DiagnosticService {
   std::size_t record_detection_latency(const fault::FaultInjector& injector);
 
  private:
-  /// Lazily re-evaluates which assessor is active: the lowest-indexed one
-  /// whose host component is alive (deterministic promotion order). On a
+  /// Re-evaluates which assessor is active: the lowest-indexed one whose
+  /// host component is alive (deterministic promotion order). On a
   /// transition the newly active assessor reconciles from the previously
   /// active one — a no-op on failover (the dead side is staler), the
   /// state-merge mechanism on failback.
-  void check_failover() const;
+  void check_failover();
   [[nodiscard]] bool host_alive(platform::ComponentId c) const;
   /// Feeds assessor `i`'s *own host's* membership view into its local
   /// topology (hierarchy mode; runs at the top of its assessment round).
   void refresh_local_view(Assessor& a, std::size_t i);
   /// Refreshes the service-level overlay view from per-host self-liveness.
-  void refresh_view() const;
-  /// Resolves the assessor composing `c`'s verdict; when the verdict is
-  /// served from the dissemination cache, `*delta` is set to it.
+  void refresh_view();
+  /// The one place diagnosis state is published: verdicts of the reported
+  /// FRUs, ONA onsets, the staleness and overlay gauges.
+  void verdict_pass(tta::RoundId round);
+  /// Stores the pass's verdict for one FRU; on a change counts it in
+  /// diag.classifications, traces it and notifies the subscriber.
+  void settle_verdict(fault::FaultClass& held, const VerdictChange& change,
+                      tta::RoundId round);
+  /// Resolves the assessor composing `c`'s verdict: the active one in
+  /// legacy mode. When the verdict is served from the dissemination cache,
+  /// `*delta` is set to it.
   [[nodiscard]] const Assessor* resolve_component(platform::ComponentId c,
                                                   const VerdictDelta** delta)
       const;
-  /// Counts one assertion of standard rule `rule` (one past the last
-  /// rule: the diagnostic-channel-degraded meta-ONA).
-  void count_ona(std::size_t rule) const;
-
-  /// An ONA asserted from outside the rule base, with its
-  /// diag.ona_assertions{ona=name} counter, bound on first count.
-  struct ExternalOna {
-    std::string name;
-    mutable std::optional<obs::Counter> counter;
-  };
+  /// Same for job `j`, whose evidence sits with its host's tester.
+  [[nodiscard]] const Assessor* resolve_job(platform::JobId j,
+                                            const VerdictDelta** delta) const;
 
   platform::System& system_;
   SpecTable specs_;
@@ -231,24 +247,34 @@ class DiagnosticService {
   /// and one per subject job (parallel to subject_jobs_).
   std::vector<std::string> component_frus_;
   std::vector<std::string> job_frus_;
-  std::map<platform::ComponentId, std::vector<ExternalOna>> external_onas_;
+  std::map<platform::ComponentId, std::vector<std::string>> external_onas_;
   bool hardening_ = true;
   bool hierarchy_ = false;
-  mutable std::optional<HierarchyTopology> view_topo_;
-  mutable std::vector<bool> alive_scratch_;
+  std::optional<HierarchyTopology> view_topo_;
+  std::vector<bool> alive_scratch_;
   fault::FaultPointRegistry* fp_ = nullptr;
-  mutable std::size_t active_ = 0;
-  mutable std::size_t failback_candidate_ = SIZE_MAX;
-  mutable sim::SimTime failback_candidate_since_{};
-  mutable std::uint64_t failovers_ = 0;
-  mutable std::uint64_t failbacks_ = 0;
-  // Metric handles bound on first use, so a series appears only once it
-  // has a value: diag.ona_assertions per standard rule (+ the channel
-  // meta-ONA), diag.evidence_staleness per component and (hierarchy
-  // mode) diag.hierarchy.recomputes.
-  mutable std::vector<std::optional<obs::Counter>> ona_metrics_;
-  mutable std::vector<std::optional<obs::Gauge>> staleness_metrics_;
-  mutable std::optional<obs::Gauge> recomputes_metric_;
+  std::size_t active_ = 0;
+  std::size_t failback_candidate_ = SIZE_MAX;
+  sim::SimTime failback_candidate_since_{};
+  std::uint64_t failovers_ = 0;
+  std::uint64_t failbacks_ = 0;
+
+  // --- verdict pass ------------------------------------------------------
+  VerdictListener listener_;
+  tta::RoundId last_pass_ = ~tta::RoundId{0};
+  /// The pass's verdict per component and per subject job (parallel to
+  /// subject_jobs_); kNone while the FRU is not reported.
+  std::vector<fault::FaultClass> component_verdicts_;
+  std::vector<fault::FaultClass> job_verdicts_;
+  /// Asserted ONAs per component, bit r = standard rule r, the bit past
+  /// the last rule = the channel-degraded meta-ONA.
+  std::vector<std::uint32_t> asserted_onas_;
+  /// Pass scratch: each host's own classification, shared by its jobs.
+  std::vector<std::optional<Diagnosis>> host_diag_;
+  /// diag.evidence_staleness{fru=cN} (hardened only) and, in hierarchy
+  /// mode, diag.hierarchy.recomputes: bound at construction.
+  std::vector<obs::Gauge> staleness_metrics_;
+  obs::Gauge recomputes_metric_;
 };
 
 }  // namespace decos::diag

@@ -30,14 +30,21 @@ EvidenceSummary::EvidenceSummary(FeatureParams fp,
 }
 
 bool EvidenceSummary::credible_round(const EvidenceStore& ev, tta::RoundId r,
-                                     const SubjectRound& sr) const {
+                                     const SubjectRound& sr,
+                                     std::vector<Cursor>& cursors) const {
   std::uint32_t credible = 0;
   for (platform::ComponentId o : sr.observers) {
-    const auto& reported = ev.reported_by(o);
-    auto it = reported.find(r);
-    const std::size_t spread =
-        it == reported.end() ? 0 : it->second.senders_reported.size();
-    if (spread < fp_.sender_spread) ++credible;
+    if (o >= cursors.size()) cursors.resize(o + 1);
+    Cursor& cur = cursors[o];
+    if (!cur.detail) {
+      cur.detail = &ev.reported_by(o);
+      cur.at = cur.detail->lower_bound(r);
+    }
+    while (cur.at != cur.detail->end() && cur.at->first < r) ++cur.at;
+    const bool hit = cur.at != cur.detail->end() && cur.at->first == r;
+    if (!hit || cur.at->second.senders_reported.size() < fp_.sender_spread) {
+      ++credible;
+    }
   }
   return credible >= kObserverQuorum;
 }
@@ -69,6 +76,7 @@ void EvidenceSummary::walk(const EvidenceStore& ev, platform::ComponentId c,
   // Sender side: credible rounds, verdict totals and the alpha
   // accumulator advance together over one walk of the subject detail.
   const auto& about = ev.about(c);
+  std::vector<Cursor> cursors;
   for (auto it = about.lower_bound(from); it != about.end() && it->first < to;
        ++it) {
     const tta::RoundId r = it->first;
@@ -79,7 +87,7 @@ void EvidenceSummary::walk(const EvidenceStore& ev, platform::ComponentId c,
       out.totals.timing += sr.timing;
       out.totals.omission += sr.omission;
     }
-    if (!credible_round(ev, r, sr)) continue;
+    if (!credible_round(ev, r, sr, cursors)) continue;
     if (r <= alpha_at) {
       alpha += std::pow(kAlphaDecay, static_cast<double>(alpha_at - r));
     }

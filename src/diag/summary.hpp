@@ -27,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "diag/evidence.hpp"
@@ -87,10 +88,17 @@ class EvidenceSummary {
     std::size_t observer_closed = 0;
   };
 
+  /// A walk's read position in one observer's detail.
+  struct Cursor {
+    const std::map<tta::RoundId, ObserverRound>* detail = nullptr;
+    std::map<tta::RoundId, ObserverRound>::const_iterator at;
+  };
   /// True when >= quorum credible observers reported the subject of `sr`
-  /// in round `r`.
+  /// in round `r`. A walk asks in ascending rounds: each observer's
+  /// detail is merged through its cursor, not searched.
   [[nodiscard]] bool credible_round(const EvidenceStore& ev, tta::RoundId r,
-                                    const SubjectRound& sr) const;
+                                    const SubjectRound& sr,
+                                    std::vector<Cursor>& cursors) const;
   /// Whether observer episode `e` of `c` coincides with receive-path
   /// trouble at a spatially proximate component.
   [[nodiscard]] bool episode_correlated(const EvidenceStore& ev,

@@ -9,8 +9,6 @@
 namespace decos::maintenance {
 namespace {
 
-/// How often the executor consults the maintenance report.
-constexpr sim::Duration kPollPeriod = sim::milliseconds(10);
 /// Retry delay multiplier: attempt k waits latency * factor^(k-1).
 constexpr double kBackoffFactor = 2.0;
 /// Attempts before the FRU is quarantined as unrepairable.
@@ -38,15 +36,16 @@ MaintenanceExecutor::MaintenanceExecutor(platform::System& system,
       p_(params), sim_(system.simulator()),
       pristine_vnets_(system.plan().vnets()), spares_(params.spares) {}
 
+MaintenanceExecutor::~MaintenanceExecutor() {
+  if (started_) service_.subscribe(nullptr);
+}
+
 void MaintenanceExecutor::start() {
   if (started_) return;
   started_ = true;
   sim_.metrics().gauge("maint.spare_pool").set(static_cast<double>(spares_));
-  poll_timer_.start(sim_, sim_.now() + kPollPeriod, kPollPeriod,
-                    [this] {
-                      poll();
-                      return true;
-                    });
+  service_.subscribe(
+      [this](const diag::VerdictChange& v) { on_verdict(v); });
 }
 
 bool MaintenanceExecutor::has_open_order(
@@ -57,59 +56,37 @@ bool MaintenanceExecutor::has_open_order(
   return false;
 }
 
-double MaintenanceExecutor::fru_trust(const WorkOrder& o) const {
-  // Composed service accessors: the active assessor in legacy mode, the
-  // FRU's serving tester (or its disseminated verdict) in hierarchy mode.
-  return o.job ? service_.job_trust(*o.job)
-               : service_.component_trust(o.component);
-}
-
-fault::FaultClass MaintenanceExecutor::rediagnose(const WorkOrder& o) const {
-  return (o.job ? service_.diagnose_job(*o.job)
-                : service_.diagnose_component(o.component))
-      .cls;
-}
-
-void MaintenanceExecutor::poll() {
-  // Evaluates failover before report() does. The fault-space enumeration
-  // numbers each failover/failback decision, so dropping this call would
-  // renumber its points.
-  (void)service_.active_assessor();
-  for (const diag::FruReport& row : service_.report()) {
-    if (row.trust >= diag::TrustParams::report_threshold) continue;
-    // Quarantined hardware is retired: neither the component row nor the
-    // rows of jobs stranded on it can be serviced any more.
-    if (quarantined_components_.contains(row.component)) continue;
-    if (row.job && quarantined_jobs_.contains(*row.job)) continue;
-    if (has_open_order(row.component, row.job)) continue;
-    if (analysis::decide(p_.strategy, row.diagnosis.cls) ==
-        fault::MaintenanceAction::kNoAction) {
-      continue;
-    }
-    WorkOrder o;
-    o.fru = row.fru;
-    o.component = row.component;
-    o.job = row.job;
-    o.first_diagnosis = row.diagnosis.cls;
-    o.opened = sim_.now();
-    auto& prov = sim_.provenance();
-    if (prov.enabled()) {
-      if (o.job) o.provenance = prov.journey_for_job(*o.job);
-      if (o.provenance == obs::kNoJourney) {
-        o.provenance = prov.journey_for_component(o.component);
-      }
-      prov.event(o.provenance, obs::ProvStage::kAction, o.fru,
-                 "work order opened");
-    }
-    const std::size_t idx = orders_.size();
-    orders_.push_back(std::move(o));
-    sim_.metrics().counter("maint.work_orders").inc();
-    sim_.log(sim::TraceCategory::kMaintenance, orders_[idx].fru,
-             std::string("work order opened: ") +
-                 fault::to_string(row.diagnosis.cls));
-    sim_.schedule_after(p_.technician_latency,
-                        [this, idx] { execute(idx); });
+void MaintenanceExecutor::on_verdict(const diag::VerdictChange& v) {
+  // Quarantined hardware is retired: neither the component nor the jobs
+  // stranded on it can be serviced any more.
+  if (quarantined_components_.contains(v.component)) return;
+  if (v.job && quarantined_jobs_.contains(*v.job)) return;
+  if (has_open_order(v.component, v.job)) return;
+  if (analysis::decide(p_.strategy, v.cls) ==
+      fault::MaintenanceAction::kNoAction) {
+    return;
   }
+  WorkOrder o;
+  o.fru = v.fru;
+  o.component = v.component;
+  o.job = v.job;
+  o.first_diagnosis = v.cls;
+  o.opened = sim_.now();
+  auto& prov = sim_.provenance();
+  if (prov.enabled()) {
+    if (o.job) o.provenance = prov.journey_for_job(*o.job);
+    if (o.provenance == obs::kNoJourney) {
+      o.provenance = prov.journey_for_component(o.component);
+    }
+    prov.event(o.provenance, obs::ProvStage::kAction, o.fru,
+               "work order opened");
+  }
+  const std::size_t idx = orders_.size();
+  orders_.push_back(std::move(o));
+  sim_.metrics().counter("maint.work_orders").inc();
+  sim_.log(sim::TraceCategory::kMaintenance, orders_[idx].fru,
+           std::string("work order opened: ") + fault::to_string(v.cls));
+  sim_.schedule_after(p_.technician_latency, [this, idx] { execute(idx); });
 }
 
 void MaintenanceExecutor::execute(std::size_t idx) {
@@ -126,7 +103,9 @@ void MaintenanceExecutor::execute(std::size_t idx) {
   if (o.attempts == 0) {
     action = analysis::decide(p_.strategy, o.first_diagnosis);
   } else {
-    fault::FaultClass cls = rediagnose(o);
+    fault::FaultClass cls = (o.job ? service_.diagnose_job(*o.job)
+                                   : service_.diagnose_component(o.component))
+                                .cls;
     if (cls == fault::FaultClass::kNone) cls = o.first_diagnosis;
     action = fault::action_for(cls);
   }
@@ -285,7 +264,10 @@ void MaintenanceExecutor::verify(std::size_t idx) {
     sim_.schedule_after(p_.verify_window, [this, idx] { verify(idx); });
     return;
   }
-  const double trust = fru_trust(o);
+  // Composed service accessors: the active assessor in legacy mode, the
+  // FRU's serving tester (or its disseminated verdict) in hierarchy mode.
+  const double trust = o.job ? service_.job_trust(*o.job)
+                             : service_.component_trust(o.component);
   if (trust >= Params::verify_trust) {
     o.state = WorkOrderState::kVerified;
     o.closed = sim_.now();

@@ -3,12 +3,12 @@
 //
 // The paper stops where the maintenance report is handed to the service
 // technician; this module *is* the technician. The MaintenanceExecutor
-// polls the DiagnosticService's report, opens a work order for every FRU
-// whose trust fell below the report threshold, and performs the chosen
-// action on the simulated system after a technician latency: software
-// update (job reset), hardware replacement from a bounded spare pool
-// (with TtaNode re-integration), transducer swap, connector re-seating,
-// or configuration restore.
+// subscribes to the DiagnosticService's verdict transitions, opens a work
+// order in the round a FRU below the report threshold gets an actionable
+// verdict, and performs the chosen action on the simulated system after a
+// technician latency: software update (job reset), hardware replacement
+// from a bounded spare pool (with TtaNode re-integration), transducer
+// swap, connector re-seating, or configuration restore.
 //
 // Every repair is verified: the FRU's trust is maintenance-reset once the
 // replaced node has settled, and must hold above the conformance
@@ -35,7 +35,6 @@
 #include "fault/taxonomy.hpp"
 #include "platform/system.hpp"
 #include "sim/simulator.hpp"
-#include "sim/timer.hpp"
 #include "vnet/network_plan.hpp"
 
 namespace decos::maintenance {
@@ -104,8 +103,13 @@ class MaintenanceExecutor {
 
   MaintenanceExecutor(platform::System& system, diag::DiagnosticService& service,
                       fault::FaultInjector& injector, Params params);
+  /// Unsubscribes: the service must not call into a destroyed executor.
+  ~MaintenanceExecutor();
+  MaintenanceExecutor(const MaintenanceExecutor&) = delete;
+  MaintenanceExecutor& operator=(const MaintenanceExecutor&) = delete;
 
-  /// Arms the periodic maintenance loop (first poll one period from now).
+  /// Subscribes to the service's verdict transitions. Call it before the
+  /// run: a verdict standing at subscription is not replayed.
   void start();
 
   // --- results -----------------------------------------------------------
@@ -140,7 +144,9 @@ class MaintenanceExecutor {
   void bind_fault_points(fault::FaultPointRegistry* fp) { fp_ = fp; }
 
  private:
-  void poll();
+  /// Opens a work order on an actionable verdict, unless the FRU is
+  /// quarantined or already has an open order.
+  void on_verdict(const diag::VerdictChange& v);
   /// Performs attempt `attempts_+1` of order `idx` (technician arrives).
   void execute(std::size_t idx);
   /// Judges order `idx` at the end of its verification window.
@@ -150,8 +156,6 @@ class MaintenanceExecutor {
   void quarantine(WorkOrder& o);
   [[nodiscard]] bool has_open_order(platform::ComponentId c,
                                     std::optional<platform::JobId> j) const;
-  [[nodiscard]] double fru_trust(const WorkOrder& o) const;
-  [[nodiscard]] fault::FaultClass rediagnose(const WorkOrder& o) const;
 
   platform::System& system_;
   diag::DiagnosticService& service_;
@@ -178,9 +182,6 @@ class MaintenanceExecutor {
   std::uint64_t spares_consumed_ = 0;
   std::uint64_t quarantines_ = 0;
   bool started_ = false;
-  /// Maintenance-report polling loop (intrusive: must outlive its pending
-  /// tick, which holding it as a member guarantees).
-  sim::PeriodicTimer poll_timer_;
 };
 
 }  // namespace decos::maintenance

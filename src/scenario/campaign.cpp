@@ -11,14 +11,22 @@ Archetype component_archetype(std::string name, fault::FaultClass truth,
                               sim::Duration horizon,
                               std::function<void(Fig10System&)> inject,
                               platform::ComponentId subject) {
-  return Archetype{
-      std::move(name), truth, horizon, std::move(inject),
-      [subject](Fig10System& rig) {
-        return rig.diag().assessor().diagnose_component(subject);
-      }};
+  return Archetype{std::move(name), truth, horizon, std::move(inject),
+                   [subject](Fig10System&) { return Subject{subject, {}}; }};
+}
+
+Subject job_subject(Fig10System& rig, platform::JobId j) {
+  return Subject{rig.system().job(j).host(), j};
 }
 
 }  // namespace
+
+diag::Diagnosis Archetype::diagnose(Fig10System& rig) const {
+  const Subject s = subject(rig);
+  const diag::Assessor& assessor = rig.diag().assessor();
+  return s.job ? assessor.diagnose_job(*s.job)
+               : assessor.diagnose_component(s.component);
+}
 
 std::vector<Archetype> standard_archetypes() {
   std::vector<Archetype> out;
@@ -78,33 +86,26 @@ std::vector<Archetype> standard_archetypes() {
         rig.injector().inject_config_fault(2, ms(300), 0, 2);
       },
       [](Fig10System& rig) {
-        return rig.diag().assessor().diagnose_job(
-            *rig.injector().ledger().front().job);
+        return job_subject(rig, *rig.injector().ledger().front().job);
       }});
   out.push_back(Archetype{
       "heisenbug", fault::FaultClass::kJobInherentSoftware, sim::seconds(4),
       [](Fig10System& rig) {
         rig.injector().inject_heisenbug(rig.a(1), ms(300), 0.08);
       },
-      [](Fig10System& rig) {
-        return rig.diag().assessor().diagnose_job(rig.a(1));
-      }});
+      [](Fig10System& rig) { return job_subject(rig, rig.a(1)); }});
   out.push_back(Archetype{
       "bohrbug", fault::FaultClass::kJobInherentSoftware, sim::seconds(4),
       [](Fig10System& rig) {
         rig.injector().inject_bohrbug(rig.b(0), ms(300), 40, 3);
       },
-      [](Fig10System& rig) {
-        return rig.diag().assessor().diagnose_job(rig.b(0));
-      }});
+      [](Fig10System& rig) { return job_subject(rig, rig.b(0)); }});
   out.push_back(Archetype{
       "sw-crash", fault::FaultClass::kJobInherentSoftware, sim::seconds(3),
       [](Fig10System& rig) {
         rig.injector().inject_software_crash(rig.b(2), ms(500));
       },
-      [](Fig10System& rig) {
-        return rig.diag().assessor().diagnose_job(rig.b(2));
-      }});
+      [](Fig10System& rig) { return job_subject(rig, rig.b(2)); }});
   out.push_back(Archetype{
       "sensor-drift", fault::FaultClass::kJobInherentTransducer,
       sim::seconds(10),
@@ -113,9 +114,7 @@ std::vector<Archetype> standard_archetypes() {
                                            platform::SensorFaultMode::kDrift,
                                            ms(300));
       },
-      [](Fig10System& rig) {
-        return rig.diag().assessor().diagnose_job(rig.c(0));
-      }});
+      [](Fig10System& rig) { return job_subject(rig, rig.c(0)); }});
   return out;
 }
 

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,13 @@
 
 namespace decos::scenario {
 
+/// The FRU an archetype's verdict is read from: a component, or a job
+/// (with its host component).
+struct Subject {
+  platform::ComponentId component = 0;
+  std::optional<platform::JobId> job;
+};
+
 struct Archetype {
   std::string name;
   fault::FaultClass truth;
@@ -25,8 +33,10 @@ struct Archetype {
   sim::Duration horizon;
   /// Injects the fault into a fresh rig.
   std::function<void(Fig10System&)> inject;
-  /// Diagnoses the affected FRU after the run.
-  std::function<diag::Diagnosis(Fig10System&)> diagnose;
+  /// The affected FRU, resolved on the injected rig.
+  std::function<Subject(Fig10System&)> subject;
+  /// The active assessor's verdict on the affected FRU after the run.
+  [[nodiscard]] diag::Diagnosis diagnose(Fig10System& rig) const;
 };
 
 /// The standard catalogue: EMI (repeated bursts), SEU, connector, wearout,

@@ -1,5 +1,6 @@
 #include "scenario/chaos.hpp"
 
+#include <algorithm>
 #include <string>
 
 #include "exec/runner.hpp"
@@ -56,9 +57,6 @@ ChaosRun run_one_chaos(const Archetype& arch, std::uint64_t seed,
   }
 
   rig.run(arch.horizon);
-  // Diagnosing goes through DiagnosticService::assessor(), which
-  // re-evaluates failover lazily — by now the revived primary has
-  // reconciled from the replica that covered the outage.
   ChaosRun out;
   out.predicted = arch.diagnose(rig).cls;
 
@@ -83,41 +81,50 @@ ChaosRun run_one_chaos(const Archetype& arch, std::uint64_t seed,
 
   auto& tracer = rig.sim().provenance();
   if (tracer.enabled()) {
-    // The campaign's final diagnosis closes ledger journeys whose chain
-    // actually reached the verdict stage: those terminate kClassified
-    // (first terminal wins, so repaired/quarantined outcomes persist). A
-    // journey that never produced a verdict stays open and is counted as
-    // an orphan by the audit — the completeness criterion is earned, not
-    // declared.
-    const auto verdict_reached = [&](obs::ProvenanceId id) {
-      const obs::ProvJourney* jr = tracer.journey(id);
-      return jr != nullptr &&
-             jr->first_stage_ns[static_cast<int>(obs::ProvStage::kVerdict)] >=
-                 0;
-    };
-    for (const fault::InjectedFault& f : rig.injector().ledger()) {
-      bool discharged = verdict_reached(f.provenance);
-      if (!discharged) {
-        // Overlapping faults on one FRU: the latest injection takes over
-        // the FRU map, so downstream stages land on the owning journey.
-        // A verdict discharges the FRU as a whole — credit every ledger
-        // journey that fed the same evidence stream.
-        const obs::ProvenanceId owner =
-            f.job.has_value() ? tracer.journey_for_job(*f.job)
-                              : tracer.journey_for_component(f.component);
-        discharged = owner != f.provenance && verdict_reached(owner);
-      }
-      if (discharged) {
-        tracer.set_terminal(f.provenance, obs::ProvOutcome::kClassified);
-      }
-    }
-    out.audit = tracer.audit();
+    out.audit = close_journeys(tracer, rig.injector().ledger(),
+                               arch.subject(rig), out.predicted,
+                               service.assessor().current_round());
     out.ndjson = tracer.ndjson();
   }
   return out;
 }
 
 }  // namespace
+
+obs::JourneyAudit close_journeys(
+    obs::ProvenanceTracer& tracer,
+    const std::vector<fault::InjectedFault>& ledger, const Subject& subject,
+    fault::FaultClass final_verdict, tta::RoundId round) {
+  if (final_verdict != fault::FaultClass::kNone) {
+    tracer.event(subject.job ? tracer.journey_for_job(*subject.job)
+                             : tracer.journey_for_component(subject.component),
+                 obs::ProvStage::kVerdict, "assessor",
+                 fault::to_string(final_verdict), round);
+  }
+  const auto verdict_reached = [&](obs::ProvenanceId id) {
+    const obs::ProvJourney* jr = tracer.journey(id);
+    return jr != nullptr &&
+           jr->first_stage_ns[static_cast<int>(obs::ProvStage::kVerdict)] >=
+               0;
+  };
+  for (const fault::InjectedFault& f : ledger) {
+    bool discharged = verdict_reached(f.provenance);
+    if (!discharged) {
+      // Overlapping faults on one FRU: the latest injection takes over
+      // the FRU map, so downstream stages land on the owning journey.
+      // A verdict discharges the FRU as a whole — credit every ledger
+      // journey that fed the same evidence stream.
+      const obs::ProvenanceId owner =
+          f.job.has_value() ? tracer.journey_for_job(*f.job)
+                            : tracer.journey_for_component(f.component);
+      discharged = owner != f.provenance && verdict_reached(owner);
+    }
+    if (discharged) {
+      tracer.set_terminal(f.provenance, obs::ProvOutcome::kClassified);
+    }
+  }
+  return tracer.audit();
+}
 
 ChaosCampaignResult run_chaos_campaign(const std::vector<Archetype>& archetypes,
                                        const std::vector<std::uint64_t>& seeds,
@@ -197,17 +204,13 @@ SilentAgentOutcome run_silent_agent_scenario(bool hardening,
 
         SilentAgentOutcome o;
         o.trust = rig.diag().assessor().component_trust(victim);
-        const std::string fru = "component " + std::to_string(victim);
-        for (const diag::FruReport& r : rig.diag().report()) {
-          if (r.fru != fru) continue;
-          o.evidence_quality = r.evidence_quality;
-          o.evidence_age = r.evidence_age;
-          o.action_is_none = r.action == fault::MaintenanceAction::kNoAction;
-          for (const std::string& ona : r.asserted_onas) {
-            if (ona == "diagnostic-channel-degraded") o.channel_degraded_ona = true;
-          }
-          break;
-        }
+        // Component rows come first, in component order.
+        const diag::FruReport r = rig.diag().report().at(victim);
+        o.evidence_quality = r.evidence_quality;
+        o.evidence_age = r.evidence_age;
+        o.action_is_none = r.action == fault::MaintenanceAction::kNoAction;
+        o.channel_degraded_ona = std::ranges::count(
+            r.asserted_onas, "diagnostic-channel-degraded") > 0;
         return o;
       }},
       [&](std::size_t, const SilentAgentOutcome& o) { out = o; });

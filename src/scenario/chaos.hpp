@@ -104,6 +104,16 @@ struct ChaosCampaignResult {
     const std::vector<std::uint64_t>& seeds, ChaosOptions chaos = {},
     Fig10Options base_options = {}, unsigned jobs = 0);
 
+/// Closes a finished run's provenance record (E19): traces a non-kNone
+/// `final_verdict` (the harness's last verdict on `subject`) on its
+/// journey, then terminates kClassified every ledger journey that reached
+/// the verdict stage (first terminal wins). The rest stay open and the
+/// returned audit counts them as orphans: completeness is earned.
+obs::JourneyAudit close_journeys(
+    obs::ProvenanceTracer& tracer,
+    const std::vector<fault::InjectedFault>& ledger, const Subject& subject,
+    fault::FaultClass final_verdict, tta::RoundId round);
+
 /// Outcome of the silent-agent scenario: the victim component stays
 /// perfectly healthy, only its diagnostic agent is crashed. The
 /// pre-hardening architecture reports it verified-healthy — the worst

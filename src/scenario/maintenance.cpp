@@ -1,5 +1,6 @@
 #include "scenario/maintenance.hpp"
 
+#include <algorithm>
 #include <functional>
 
 #include "exec/runner.hpp"
@@ -9,9 +10,11 @@ namespace {
 
 /// Runs one archetype x seed with a live executor and harvests everything
 /// on the worker — the rig dies here, the merge thread only sees values.
+/// `degraded`, when given, also receives the subject's degradation state.
 MaintenanceRun run_one(const Archetype& arch, std::uint64_t seed,
                        const MaintenanceOptions& options,
-                       const Fig10Options& base_options) {
+                       const Fig10Options& base_options,
+                       MaintenanceScenarioOutcome* degraded = nullptr) {
   Fig10Options opts = base_options;
   opts.seed = seed;
   Fig10System rig(opts);
@@ -51,6 +54,13 @@ MaintenanceRun run_one(const Archetype& arch, std::uint64_t seed,
     }
   }
   out.metrics = rig.sim().metrics().snapshot();
+  if (degraded) {
+    // Component rows come first, in component order.
+    const diag::FruReport row = rig.diag().report().at(subject.component);
+    degraded->degraded_ona =
+        std::ranges::count(row.asserted_onas, "maintenance-degraded") > 0;
+    degraded->degraded_jobs = executor.degraded_jobs();
+  }
   return out;
 }
 
@@ -121,51 +131,8 @@ MaintenanceScenarioOutcome run_maintenance_scenario(
   MaintenanceScenarioOutcome out;
   runner.run_and_merge<MaintenanceScenarioOutcome>(
       {[&] {
-        Fig10Options opts = base_options;
-        opts.seed = seed;
-        Fig10System rig(opts);
-        maintenance::MaintenanceExecutor executor(
-            rig.system(), rig.diag(), rig.injector(), options.executor);
-        executor.start();
-        archetype.inject(rig);
-        rig.run(archetype.horizon + options.repair_grace);
-
         MaintenanceScenarioOutcome o;
-        const fault::InjectedFault& subject = rig.injector().ledger().front();
-        const diag::Assessor& assessor = rig.diag().assessor();
-        o.run.truth = archetype.truth;
-        o.run.final_trust = subject.job
-                                ? assessor.job_trust(*subject.job)
-                                : assessor.component_trust(subject.component);
-        o.run.recovered = o.run.final_trust >= options.executor.verify_trust;
-        o.run.repairs_attempted = executor.repairs_attempted();
-        o.run.repairs_verified = executor.repairs_verified();
-        o.run.repairs_failed = executor.repairs_failed();
-        o.run.retries = executor.retries();
-        o.run.nff_removals = executor.nff_removals();
-        o.run.spares_consumed = executor.spares_consumed();
-        o.run.quarantines = executor.quarantines();
-        for (const maintenance::WorkOrder& order : executor.work_orders()) {
-          const bool on_subject =
-              subject.job ? (order.job && *order.job == *subject.job)
-                          : (!order.job && order.component == subject.component);
-          if (!on_subject) continue;
-          o.run.trajectory.insert(o.run.trajectory.end(),
-                                  order.actions.begin(), order.actions.end());
-          if (order.nff) o.run.nff_on_subject = true;
-          if (order.state == maintenance::WorkOrderState::kVerified &&
-              o.run.ttr_us < 0) {
-            o.run.ttr_us = (order.closed - order.opened).ns() / 1000;
-          }
-        }
-        for (const diag::FruReport& row : rig.diag().report()) {
-          if (row.job || row.component != subject.component) continue;
-          for (const std::string& ona : row.asserted_onas) {
-            if (ona == "maintenance-degraded") o.degraded_ona = true;
-          }
-        }
-        o.degraded_jobs = executor.degraded_jobs();
-        o.run.metrics = rig.sim().metrics().snapshot();
+        o.run = run_one(archetype, seed, options, base_options, &o);
         return o;
       }},
       [&](std::size_t, MaintenanceScenarioOutcome& harvested) {

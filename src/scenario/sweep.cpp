@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "exec/runner.hpp"
+#include "scenario/chaos.hpp"
 #include "scenario/fig10.hpp"
 #include "scenario/hierarchy.hpp"
 
@@ -42,12 +43,11 @@ struct PointRun {
 /// The rig-independent body of one deterministic run: arm/count, gate
 /// diagnostic deliveries, inject the victim's permanent failure, run, and
 /// judge with the convergence oracle. Discovery and armed runs share this
-/// one code path — including the harvest below, whose lazily-evaluating
-/// service accessors also reach fault sites — so the counting run's
-/// tallies are exactly the occurrence space every armed run replays. The
-/// harvest diagnoses through the composed DiagnosticService accessors,
-/// which delegate to the active assessor on the legacy rigs and compose
-/// the per-slice partial views on the hierarchy rig.
+/// one code path, so the counting run's tallies are exactly the
+/// occurrence space every armed run replays. The harvest diagnoses
+/// through the composed DiagnosticService accessors — pure reads, which
+/// delegate to the active assessor on the legacy rigs and compose the
+/// per-slice partial views on the hierarchy rig.
 template <class Rig>
 PointRun run_body(Rig& rig, const SweepOptions& opts,
                   std::optional<fault::FaultPoint> armed,
@@ -107,8 +107,6 @@ PointRun run_body(Rig& rig, const SweepOptions& opts,
     v.fired = true;
   }
 
-  // Harvest in a fixed order (the accessors below lazily re-evaluate
-  // failover on the legacy rigs, which itself reaches fault sites).
   diag::DiagnosticService& service = rig.diag();
   const fault::FaultClass truth = rig.injector().truth_for_component(victim);
 
@@ -130,8 +128,10 @@ PointRun run_body(Rig& rig, const SweepOptions& opts,
       victim_terminal = true;
     }
   }
+  fault::FaultClass final_verdict = fault::FaultClass::kNone;
   if (!classified) {
-    classified = service.diagnose_component(victim).cls == truth;
+    final_verdict = service.diagnose_component(victim).cls;
+    classified = final_verdict == truth;
   }
   v.classified = classified;
   v.terminal_outcome = all_closed && victim_terminal;
@@ -141,28 +141,13 @@ PointRun run_body(Rig& rig, const SweepOptions& opts,
   v.detected =
       victim_order || service.first_component_violation(victim).has_value();
 
-  // Close ledger journeys whose chain reached the verdict stage (same
-  // discharge rule as the chaos campaign), then audit: any remaining
-  // orphan is an injected fault the pipeline lost track of.
-  obs::ProvenanceTracer& tracer = rig.sim().provenance();
-  const auto verdict_reached = [&tracer](obs::ProvenanceId id) {
-    const obs::ProvJourney* jr = tracer.journey(id);
-    return jr != nullptr &&
-           jr->first_stage_ns[static_cast<int>(obs::ProvStage::kVerdict)] >= 0;
-  };
-  for (const fault::InjectedFault& f : rig.injector().ledger()) {
-    bool discharged = verdict_reached(f.provenance);
-    if (!discharged) {
-      const obs::ProvenanceId owner =
-          f.job.has_value() ? tracer.journey_for_job(*f.job)
-                            : tracer.journey_for_component(f.component);
-      discharged = owner != f.provenance && verdict_reached(owner);
-    }
-    if (discharged) {
-      tracer.set_terminal(f.provenance, obs::ProvOutcome::kClassified);
-    }
-  }
-  v.no_orphans = tracer.audit().orphans == 0;
+  // Any orphan left by the journey audit is an injected fault the
+  // pipeline lost track of.
+  v.no_orphans = close_journeys(rig.sim().provenance(),
+                                rig.injector().ledger(), Subject{victim, {}},
+                                final_verdict,
+                                service.assessor().current_round())
+                     .orphans == 0;
 
   for (int i = 0; i < fault::kFaultSiteCount; ++i) {
     out.manifest.counts[static_cast<std::size_t>(i)] =

@@ -10,8 +10,7 @@
 //
 // Timers are intrusive: the object must outlive its pending event, which
 // in practice means the timer is a member of the component that owns the
-// behavior (see maintenance::MaintenanceExecutor::poll_timer_ or the
-// fault-injector chains). Destruction cancels.
+// behavior (see the fault-injector chains). Destruction cancels.
 #pragma once
 
 #include <functional>

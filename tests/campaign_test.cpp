@@ -30,7 +30,7 @@ TEST(Campaign, NamesAreUniqueAndNonEmpty) {
     EXPECT_TRUE(names.insert(a.name).second) << "duplicate: " << a.name;
     EXPECT_GT(a.horizon.ns(), 0);
     EXPECT_TRUE(static_cast<bool>(a.inject));
-    EXPECT_TRUE(static_cast<bool>(a.diagnose));
+    EXPECT_TRUE(static_cast<bool>(a.subject));
   }
 }
 

@@ -69,6 +69,21 @@ TEST(AssessorFailover, PrimaryDeathPromotesReplicaAndRevivalFailsBack) {
   EXPECT_EQ(rig.diag().failbacks(), 1u);
 }
 
+TEST(AssessorFailover, FailoverHappensWithoutAnyQuery) {
+  // Nothing reads the diagnosis while the primary dies: the per-round
+  // hook alone promotes the replica, and the counter shows it.
+  scenario::Fig10System rig(chaos_rig_options(11, true));
+  fault::ChaosInjector storm(rig.sim(), rig.system());
+  storm.kill_host(5, ms(800));
+  rig.run(sim::seconds(1));
+  EXPECT_EQ(rig.diag().failovers(), 1u);
+  EXPECT_EQ(rig.diag().failbacks(), 0u);
+  const auto snap = rig.sim().metrics().snapshot();
+  const auto* failovers = snap.find("diag.assessor.failovers");
+  ASSERT_NE(failovers, nullptr);
+  EXPECT_EQ(failovers->counter, 1u);
+}
+
 TEST(AssessorFailover, FailbackIsDebouncedAgainstFlappingPrimary) {
   // The primary twitches back to life mid-outage for less than the
   // failback hold (50 ms), then dies again before the hold expires. The

@@ -8,8 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <string>
 #include <vector>
 
+#include "analysis/nff.hpp"
+#include "fault/chaos.hpp"
 #include "scenario/maintenance.hpp"
 
 namespace decos {
@@ -181,6 +185,188 @@ TEST(MaintenanceExecutor, ParallelCampaignIsBitIdenticalToSerial) {
   EXPECT_EQ(serial.recovered, parallel.recovered);
   EXPECT_EQ(serial.repairs_attempted, parallel.repairs_attempted);
   expect_same_snapshot(serial.metrics, parallel.metrics);
+}
+
+
+// --- the verdict pass: pure queries, transition-driven maintenance -------
+
+sim::SimTime at_ms(std::int64_t v) {
+  return sim::SimTime::zero() + sim::milliseconds(v);
+}
+
+/// Everything a closed-loop run leaves behind that a query could disturb.
+struct LoopRecord {
+  obs::Snapshot metrics;
+  std::string ndjson;
+  std::vector<maintenance::WorkOrder> orders;
+  std::uint64_t failovers = 0;
+  std::uint64_t failbacks = 0;
+};
+
+/// A closed-loop run stepped one TDMA round at a time. With `operate` set,
+/// an operator reads every diagnosis query after each round.
+LoopRecord run_loop(bool chaos, bool operate) {
+  scenario::Fig10Options opts;
+  opts.seed = 31;
+  opts.provenance = true;
+  if (chaos) {
+    opts.components = 7;
+    opts.assessor_host = 5;
+    opts.assessor_replicas = {6};
+  }
+  scenario::Fig10System rig(opts);
+  maintenance::MaintenanceExecutor executor(rig.system(), rig.diag(),
+                                            rig.injector(), {});
+  executor.start();
+  std::optional<fault::ChaosInjector> storm;
+  if (chaos) {
+    // The primary assessor's own host fails: failover, replacement,
+    // failback, all under a lossy diagnostic channel.
+    storm.emplace(rig.sim(), rig.system());
+    storm->degrade_diagnostic_channel(0.10, 0.05, at_ms(0));
+    rig.injector().inject_permanent_failure(5, at_ms(300));
+  } else {
+    rig.injector().inject_permanent_failure(2, at_ms(300));
+  }
+  rig.injector().inject_heisenbug(rig.a(1), at_ms(300), 0.08);
+
+  diag::DiagnosticService& d = rig.diag();
+  const sim::Duration round = rig.system().cluster().schedule().round_length();
+  for (sim::Duration t{}; t.ns() < sim::seconds(3).ns(); t = t + round) {
+    rig.run(round);
+    if (!operate) continue;
+    (void)d.report();
+    (void)d.assessor();
+    (void)d.active_assessor();
+    for (platform::ComponentId c = 0; c < opts.components; ++c) {
+      (void)d.diagnose_component(c);
+      (void)d.component_trust(c);
+      (void)d.first_component_violation(c);
+      (void)d.assessor().diagnose_component(c);
+    }
+    for (platform::JobId j = 0; j < rig.system().job_count(); ++j) {
+      if (d.is_diagnostic_job(j)) continue;
+      (void)d.diagnose_job(j);
+      (void)d.job_trust(j);
+      (void)d.first_job_violation(j);
+      (void)d.assessor().diagnose_job(j);
+    }
+  }
+  return LoopRecord{rig.sim().metrics().snapshot(),
+                    rig.sim().provenance().ndjson(), executor.work_orders(),
+                    d.failovers(), d.failbacks()};
+}
+
+void expect_same_loop(const LoopRecord& quiet, const LoopRecord& queried) {
+  expect_same_snapshot(quiet.metrics, queried.metrics);
+  EXPECT_EQ(quiet.ndjson, queried.ndjson);
+  EXPECT_EQ(quiet.failovers, queried.failovers);
+  EXPECT_EQ(quiet.failbacks, queried.failbacks);
+  ASSERT_EQ(quiet.orders.size(), queried.orders.size());
+  for (std::size_t i = 0; i < quiet.orders.size(); ++i) {
+    const maintenance::WorkOrder& a = quiet.orders[i];
+    const maintenance::WorkOrder& b = queried.orders[i];
+    EXPECT_EQ(a.fru, b.fru);
+    EXPECT_EQ(a.first_diagnosis, b.first_diagnosis) << a.fru;
+    EXPECT_EQ(a.actions, b.actions) << a.fru;
+    EXPECT_EQ(a.state, b.state) << a.fru;
+    EXPECT_EQ(a.opened.ns(), b.opened.ns()) << a.fru;
+    EXPECT_EQ(a.closed.ns(), b.closed.ns()) << a.fru;
+  }
+}
+
+TEST(VerdictPass, QueriesArePureReadsOnFig10Rig) {
+  const LoopRecord quiet = run_loop(false, false);
+  ASSERT_FALSE(quiet.orders.empty());
+  expect_same_loop(quiet, run_loop(false, true));
+}
+
+TEST(VerdictPass, QueriesArePureReadsOnChaosRig) {
+  const LoopRecord quiet = run_loop(true, false);
+  ASSERT_FALSE(quiet.orders.empty());
+  ASSERT_GE(quiet.failovers, 1u);
+  expect_same_loop(quiet, run_loop(true, true));
+}
+
+/// Steps a Fig. 10 rig with a started executor round by round after
+/// injecting `inject`, and returns the instant `c` first read reported
+/// (trust below the report threshold) and the instant its verdict first
+/// read actionable, plus the orders opened on it.
+struct Crossing {
+  std::optional<sim::SimTime> reported;
+  std::optional<sim::SimTime> actionable;
+  fault::FaultClass class_when_reported = fault::FaultClass::kNone;
+  std::vector<maintenance::WorkOrder> orders;
+  sim::Duration round{};
+};
+
+Crossing step_until_order(std::uint64_t seed, platform::ComponentId c,
+                          void (*inject)(scenario::Fig10System&)) {
+  scenario::Fig10Options opts;
+  opts.seed = seed;
+  scenario::Fig10System rig(opts);
+  maintenance::MaintenanceExecutor executor(rig.system(), rig.diag(),
+                                            rig.injector(), {});
+  executor.start();
+  inject(rig);
+  Crossing out;
+  out.round = rig.system().cluster().schedule().round_length();
+  const diag::DiagnosticService& d = rig.diag();
+  for (int r = 0; r < 2000 && executor.work_orders().empty(); ++r) {
+    rig.run(out.round);
+    if (d.component_trust(c) >= diag::TrustParams::report_threshold) continue;
+    const fault::FaultClass cls = d.diagnose_component(c).cls;
+    if (!out.reported) {
+      out.reported = rig.sim().now();
+      out.class_when_reported = cls;
+    }
+    if (!out.actionable &&
+        analysis::decide(analysis::Strategy::kModelGuided, cls) !=
+            fault::MaintenanceAction::kNoAction) {
+      out.actionable = rig.sim().now();
+    }
+  }
+  out.orders = executor.work_orders();
+  return out;
+}
+
+TEST(VerdictPass, OrderOpensWithinOneRoundOfTrustCrossingThreshold) {
+  // A borderline connector: by the time its trust crosses the report
+  // threshold the recurring episodes already classify it, so the order
+  // must open in the very assessment round of the crossing.
+  const Crossing x = step_until_order(44, 3, [](scenario::Fig10System& rig) {
+    rig.injector().inject_connector_fault(3, at_ms(300),
+                                          sim::milliseconds(250),
+                                          sim::milliseconds(10), 0.8);
+  });
+  ASSERT_TRUE(x.reported.has_value());
+  ASSERT_EQ(x.actionable, x.reported)
+      << "class at the crossing: " << fault::to_string(x.class_when_reported);
+  ASSERT_EQ(x.orders.size(), 1u);
+  EXPECT_EQ(x.orders[0].component, 3u);
+  EXPECT_LE(x.orders[0].opened.ns(), x.reported->ns());
+  EXPECT_GT(x.orders[0].opened.ns(), (*x.reported - x.round).ns());
+}
+
+TEST(VerdictPass, LateActionableClassStillOpensAnOrder) {
+  // A permanent failure drops trust below the report threshold within a
+  // few rounds, long before the continuous-omission pattern classifies:
+  // the FRU is reported with no actionable class first. The later class
+  // change alone, with trust still below the threshold, must open the
+  // order, and within one assessment round.
+  const Crossing x = step_until_order(43, 2, [](scenario::Fig10System& rig) {
+    rig.injector().inject_permanent_failure(2, at_ms(300));
+  });
+  ASSERT_TRUE(x.reported.has_value());
+  ASSERT_EQ(analysis::decide(analysis::Strategy::kModelGuided,
+                             x.class_when_reported),
+            fault::MaintenanceAction::kNoAction);
+  ASSERT_TRUE(x.actionable.has_value());
+  EXPECT_GT(x.actionable->ns(), x.reported->ns());
+  ASSERT_EQ(x.orders.size(), 1u);
+  EXPECT_EQ(x.orders[0].first_diagnosis, fault::FaultClass::kComponentInternal);
+  EXPECT_LE(x.orders[0].opened.ns(), x.actionable->ns());
+  EXPECT_GT(x.orders[0].opened.ns(), (*x.actionable - x.round).ns());
 }
 
 }  // namespace
