@@ -3,9 +3,9 @@
 //
 // Three sweeps of the full archetype catalogue:
 //   baseline  — healthy diagnostic path (reference accuracy);
-//   hardened  — lossy diagnostic vnet + primary-assessor host killed and
-//               revived mid-run, hardening on (heartbeats, resends,
-//               dedupe, staleness, failover);
+//   hardened  — lossy diagnostic vnet + the host of overlay position 0
+//               killed and revived mid-run, hardening on (heartbeats,
+//               resends, dedupe, staleness);
 //   ablated   — same chaos, hardening off (the pre-hardening design).
 // Plus the silent-agent scenario both ways: the ablated architecture
 // reports a component with a crashed diagnostic agent as verified
@@ -119,12 +119,10 @@ int main(int argc, char** argv) {
               "ablated %.3f\n",
               base_acc, hardened.accuracy(), ablated.accuracy());
   std::printf("diagnostic-path telemetry (hardened, %zu runs): %llu "
-              "failovers, %llu failbacks, %llu symptom gaps, %llu "
-              "retransmissions, %llu duplicates dropped, %llu heartbeats "
-              "received, %llu msgs dropped + %llu corrupted by chaos\n\n",
+              "symptom gaps, %llu retransmissions, %llu duplicates dropped, "
+              "%llu heartbeats received, %llu msgs dropped + %llu corrupted "
+              "by chaos\n\n",
               hardened.runs,
-              static_cast<unsigned long long>(hardened.failovers),
-              static_cast<unsigned long long>(hardened.failbacks),
               static_cast<unsigned long long>(hardened.symptom_gaps),
               static_cast<unsigned long long>(hardened.retransmissions),
               static_cast<unsigned long long>(hardened.duplicates_dropped),

@@ -7,7 +7,7 @@
 // The scheduling section reproduces the event population of a steady
 // TDMA simulation: staggered periodic timers (slot ticks), one-shot
 // self-rescheduling chains (frame deliveries), and watchdog cancel/re-arm
-// loops (the assessor failover detector). The mux section runs the
+// loops (timeouts re-armed before they fire). The mux section runs the
 // per-round message path on caller-provided reusable buffers. Both
 // sections warm up first so slab/arena/buffer high-water marks are
 // reached, then assert nothing about the numbers — they are *reported*

@@ -18,7 +18,7 @@ constexpr tta::RoundId kResendBackoff = 8;
 
 Agent::Agent(platform::System& system, platform::DasId diag_das,
              platform::ComponentId component, const SpecTable& specs,
-             const std::vector<platform::JobId>& assessors, bool hardening)
+             bool hardening)
     : system_(system),
       component_(component),
       specs_(specs),
@@ -30,13 +30,13 @@ Agent::Agent(platform::System& system, platform::DasId diag_das,
       retransmissions_metric_(
           system.simulator().metrics().counter("diag.agent.retransmissions")),
       dropped_metric_(
-          system.simulator().metrics().counter("diag.agent.symptoms_dropped")) {
+          system.simulator().metrics().counter("diag.agent.symptoms_dropped")),
+      fanout_metric_(
+          system.simulator().metrics().counter("diag.agent.route_fanout")) {
   platform::Job& job = system_.add_job(
       diag_das, "diag.agent." + std::to_string(component), component,
       [this](platform::JobContext& ctx) { flush(ctx); });
   job_id_ = job.id();
-  port_ = system_.add_port(job_id_, "symptoms." + std::to_string(component),
-                           platform::kDiagnosticVnet, assessors);
 
   system_.cluster().node(component).observation_sink =
       [this](const tta::SlotObservation& obs) { on_observation(obs); };
@@ -60,19 +60,10 @@ Agent::Agent(platform::System& system, platform::DasId diag_das,
       };
 }
 
-void Agent::enable_hierarchy(const HierarchyTopology* view,
-                             std::vector<platform::PortId> tester_ports) {
-  topo_ = view;
-  tester_ports_ = std::move(tester_ports);
-  fanout_metric_ =
-      system_.simulator().metrics().counter("diag.agent.route_fanout");
-}
-
 std::size_t Agent::route(platform::JobContext& ctx, const vnet::Message& m,
                          platform::ComponentId subject) {
   std::size_t ok = 0;
   for (const HierarchyTopology::Position p : topo_->testers(subject)) {
-    if (p >= tester_ports_.size()) continue;
     if (ctx.send(tester_ports_[p], m.value, m.kind, m.aux)) ++ok;
   }
   if (ok > 0) fanout_metric_.inc(ok);
@@ -229,22 +220,15 @@ void Agent::flush(platform::JobContext& ctx) {
       hb.symptoms_detected = detected_;
       hb.symptoms_dropped = static_cast<std::uint32_t>(
           dropped_ > 0xFFFFFFFFu ? 0xFFFFFFFFu : dropped_);
-      const vnet::Message m = encode_heartbeat(hb, round);
-      if (hierarchical()) {
-        // Heartbeats feed the staleness watchdogs of this component's own
-        // testers — nobody else keeps channel state for it.
-        const std::size_t copies = route(ctx, m, component_);
-        if (copies > 0) {
-          last_heartbeat_ = round;
-          ++heartbeats_;
-          heartbeats_metric_.inc();
-          sent += copies;
-        }
-      } else if (ctx.send(port_, m.value, m.kind, m.aux)) {
+      // Heartbeats feed the staleness watchdogs of this component's own
+      // testers — nobody else keeps channel state for it.
+      const std::size_t copies =
+          route(ctx, encode_heartbeat(hb, round), component_);
+      if (copies > 0) {
         last_heartbeat_ = round;
         ++heartbeats_;
         heartbeats_metric_.inc();
-        ++sent;
+        sent += copies;
       }
     }
   }
@@ -252,18 +236,12 @@ void Agent::flush(platform::JobContext& ctx) {
   // Flush under the diagnostic vnet's real bandwidth: excess stays pending.
   while (!pending_.empty() && sent < 16) {
     const Symptom& s = pending_.front();
-    const vnet::Message m = encode(s, round);
-    if (hierarchical()) {
-      // Routed by subject: only the FRU's current testers receive the
-      // symptom, so per-symptom traffic is the tester-set size (log A + 1)
-      // instead of the assessor count.
-      const std::size_t copies = route(ctx, m, s.subject_component);
-      if (copies == 0) break;  // all destination queues full
-      sent += copies;
-    } else {
-      if (!ctx.send(port_, m.value, m.kind, m.aux)) break;  // queue full
-      ++sent;
-    }
+    // Routed by subject: only the FRU's current testers receive the
+    // symptom, so per-symptom traffic is the tester-set size (log A + 1)
+    // instead of the assessor count.
+    const std::size_t copies = route(ctx, encode(s, round), s.subject_component);
+    if (copies == 0) break;  // all destination queues full
+    sent += copies;
     // Resend-push fault site: firing means this symptom never enters the
     // retransmission buffer — its original send is its only chance.
     if (hardening_ && !(fp_ && fp_->hit(fault::FaultSite::kResendPush))) {
@@ -280,19 +258,14 @@ void Agent::flush(platform::JobContext& ctx) {
     for (auto& r : resend_) {
       if (sent >= 16) break;
       if (r.sends > kMaxResends || round < r.due) continue;
-      const vnet::Message m = encode(r.s, round);
-      if (hierarchical()) {
-        // Resends re-route through the *current* tester set, so a symptom
-        // whose testers were reassigned mid-backoff still lands where the
-        // evidence is now being kept.
-        const std::size_t copies = route(ctx, m, r.s.subject_component);
-        if (copies == 0) break;
-        sent += copies - 1;  // loop header adds the final +1 below
-      } else if (!ctx.send(port_, m.value, m.kind, m.aux)) {
-        break;
-      }
+      // Resends re-route through the *current* tester set, so a symptom
+      // whose testers were reassigned mid-backoff still lands where the
+      // evidence is now being kept.
+      const std::size_t copies =
+          route(ctx, encode(r.s, round), r.s.subject_component);
+      if (copies == 0) break;
       trace_symptom(r.s, "resend");
-      ++sent;
+      sent += copies;
       ++resent_;
       retransmissions_metric_.inc();
       r.due = round + (kResendBackoff << r.sends);

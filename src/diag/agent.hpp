@@ -11,7 +11,10 @@
 // Detected symptoms are coalesced per round and flushed as messages on the
 // virtual diagnostic network by the agent's own job, so dissemination
 // competes for real bandwidth and arrives with real latency — no probe
-// effect on the application vnets, exactly as the paper requires.
+// effect on the application vnets, exactly as the paper requires. Each
+// message goes only to the current testers of its subject in the
+// assessors' VCube overlay (diag/topology.hpp), one unicast port per
+// overlay position.
 //
 // The symptom stream itself runs over the same fallible cluster it
 // monitors, so the agent hardens its own channel: a periodic heartbeat
@@ -38,16 +41,15 @@ namespace decos::diag {
 class Agent {
  public:
   /// Creates the agent job on `component` inside `diag_das` and installs
-  /// all hooks. `assessors` are the jobs subscribed to this agent's
-  /// symptom port. `hardening` switches the channel hardening (heartbeats
-  /// + resends); off reproduces the pre-hardening agent, for ablation runs.
+  /// all hooks. `hardening` switches the channel hardening (heartbeats +
+  /// resends); off reproduces the pre-hardening agent, for ablation runs.
+  /// Nothing is sent before route_over() wires the tester ports.
   Agent(platform::System& system, platform::DasId diag_das,
         platform::ComponentId component, const SpecTable& specs,
-        const std::vector<platform::JobId>& assessors, bool hardening);
+        bool hardening);
 
   [[nodiscard]] platform::ComponentId component() const { return component_; }
   [[nodiscard]] platform::JobId job_id() const { return job_id_; }
-  [[nodiscard]] platform::PortId symptom_port() const { return port_; }
 
   [[nodiscard]] std::uint64_t symptoms_detected() const { return detected_; }
   /// Symptoms dropped from the bounded backlog (evidence loss at source).
@@ -60,17 +62,17 @@ class Agent {
   /// sites. DiagnosticService::bind_fault_points wires every agent.
   void bind_fault_points(fault::FaultPointRegistry* fp) { fp_ = fp; }
 
-  /// Switches the agent to hierarchy routing: instead of multicasting on
-  /// the shared symptom port, each flushed message is unicast to the
-  /// *current testers* of its routing key (the subject component;
-  /// heartbeats key on the agent's own component). `view` is the
-  /// service's overlay view (not owned, refreshed by the service each
-  /// round); `tester_ports[p]` is this agent's unicast port to the
-  /// assessor at cube position p. Traffic becomes O(log A) per symptom
-  /// instead of O(A) — the tentpole scaling change.
-  void enable_hierarchy(const HierarchyTopology* view,
-                        std::vector<platform::PortId> tester_ports);
-  [[nodiscard]] bool hierarchical() const { return topo_ != nullptr; }
+  /// Wires the routing: each flushed message is unicast to the *current
+  /// testers* of its routing key (the subject component; heartbeats key
+  /// on the agent's own component). `view` is the service's overlay view
+  /// (not owned, refreshed by the service each round); `tester_ports[p]`
+  /// is this agent's unicast port to the assessor at cube position p.
+  /// Traffic is O(log A) per symptom instead of O(A).
+  void route_over(const HierarchyTopology* view,
+                  std::vector<platform::PortId> tester_ports) {
+    topo_ = view;
+    tester_ports_ = std::move(tester_ports);
+  }
 
  private:
   void on_observation(const tta::SlotObservation& obs);
@@ -92,9 +94,8 @@ class Agent {
   /// Cached span entity label ("agent.N") so the hot path never builds it.
   std::string entity_;
   platform::JobId job_id_ = platform::kInvalidJob;
-  platform::PortId port_ = 0;
 
-  /// Hierarchy routing state (see enable_hierarchy).
+  /// Routing state (see route_over).
   const HierarchyTopology* topo_ = nullptr;
   std::vector<platform::PortId> tester_ports_;
   /// Sends one encoded message to every current tester of `subject`;

@@ -25,18 +25,18 @@ constexpr tta::RoundId kStaleAfter = 32;
 /// Observation-key dedupe horizon in rounds (exceeds the agents' largest
 /// resend backoff).
 constexpr tta::RoundId kDedupeWindow = 512;
-/// Hierarchy mode: rounds between periodic re-emissions of a still-standing
-/// verdict delta (edge-triggered emissions happen at the violation instant
-/// regardless).
+/// Rounds between periodic re-emissions of a still-standing verdict delta
+/// (edge-triggered emissions happen at the violation instant regardless).
 constexpr tta::RoundId kDeltaRefreshPeriod = 16;
-/// Hierarchy mode: verdict deltas handed to the dissemination port per
-/// assessment round (own emissions + forwards; leftovers queue).
+/// Verdict deltas handed to the dissemination port per assessment round
+/// (own emissions + forwards; leftovers queue).
 constexpr std::size_t kDissemBudget = 16;
 
 }  // namespace
 
 Assessor::Assessor(Params p, fault::SpatialLayout layout,
-                   std::uint32_t component_count, std::uint32_t /*job_count*/)
+                   std::uint32_t component_count, std::uint32_t /*job_count*/,
+                   HierarchyTopology topology, std::uint32_t position)
     : p_(p),
       classifier_(p.classifier, std::move(layout)),
       store_(Params::evidence),
@@ -47,18 +47,12 @@ Assessor::Assessor(Params p, fault::SpatialLayout layout,
       channels_(component_count),
       component_hits_(component_count, 0),
       mask_words_((component_count + 63) / 64),
+      topo_(std::move(topology)),
+      position_(position),
+      comp_delta_active_(component_count, false),
       summary_(p.classifier, component_count, classifier_.layout()) {
   if (mask_words_ == 0) mask_words_ = 1;
   transport_masks_.assign(component_count_ * mask_words_, 0);
-}
-
-void Assessor::enable_hierarchy(HierarchyTopology topology,
-                                std::uint32_t position,
-                                platform::PortId dissem_port) {
-  topo_ = std::move(topology);
-  position_ = position;
-  dissem_port_ = dissem_port;
-  comp_delta_active_.assign(component_count_, false);
 }
 
 void Assessor::register_peer(platform::JobId assessor_job,
@@ -67,8 +61,7 @@ void Assessor::register_peer(platform::JobId assessor_job,
 }
 
 void Assessor::refresh_topology(const std::vector<bool>& alive) {
-  if (!topo_) return;
-  if (!topo_->would_change(alive)) return;
+  if (!topo_.would_change(alive)) return;
   if (fp_ && fp_->hit(fault::FaultSite::kTesterReassign)) {
     // The recompute lags the membership change by one assessment round:
     // this side keeps routing/accepting on the stale tester sets while
@@ -76,7 +69,7 @@ void Assessor::refresh_topology(const std::vector<bool>& alive) {
     // oracle must show convergence under.
     return;
   }
-  topo_->update(alive);
+  topo_.update(alive);
 }
 
 void Assessor::bind_hierarchy_metrics(obs::Registry& registry) {
@@ -182,13 +175,13 @@ double Assessor::job_evidence_quality(platform::JobId j) const {
   return evidence_quality(host_of(j));
 }
 
-void Assessor::track_channel(platform::ComponentId agent,
-                             const vnet::Message& m) {
+void Assessor::track_sequence(platform::ComponentId agent,
+                              const vnet::Message& m) {
   AgentChannel& ch = channels_[agent];
-  ch.last_heard = std::max(ch.last_heard, round_);
   // The multiplexer assigns contiguous per-port sequence numbers to every
-  // accepted message, so a jump on the symptom port is exactly the number
-  // of diagnostic messages the channel lost in flight.
+  // accepted message, and each of an agent's ports leads to exactly one
+  // position, so a jump is exactly the number of diagnostic messages the
+  // channel lost in flight.
   if (!ch.seq_seen) {
     ch.seq_seen = true;
     ch.next_seq = m.seq + 1;
@@ -209,7 +202,7 @@ bool Assessor::dedupe_accept(const Symptom& s) {
 }
 
 void Assessor::ingest_external(const Symptom& s) {
-  if (hierarchical() && !topo_->is_tester(position_, s.subject_component)) {
+  if (!topo_.is_tester(position_, s.subject_component)) {
     // Guardian-block reports follow the same implicit addressing as the
     // wire stream: only the subject's testers account them.
     ++hier_.symptoms_filtered;
@@ -245,33 +238,45 @@ void Assessor::process(platform::JobContext& ctx) {
   for (const vnet::Message& m : ctx.inbox()) {
     auto agent_it = agent_component_.find(m.sender);
     if (agent_it == agent_component_.end()) {
-      // Not a known agent: in hierarchy mode this is where verdict
-      // deltas from peer assessors arrive on the dissemination vnet.
-      if (hierarchical()) handle_delta(m);
+      // Not a known agent: verdict deltas from peer assessors arrive here
+      // on the dissemination vnet.
+      handle_delta(m);
       continue;
     }
     const platform::ComponentId agent = agent_it->second;
-    if (const auto hb = decode_heartbeat(m)) {
-      if (hierarchical() && !topo_->is_tester(position_, agent)) {
-        // Implicit addressing: the overlay's routing is enforced at the
-        // receiver — a tester keeps channel state only for its slice.
-        ++hier_.symptoms_filtered;
-        hier_filtered_metric_.inc();
-        continue;
-      }
-      if (fp_ && fp_->hit(fault::FaultSite::kHeartbeatReceive)) {
-        // Heartbeat dropped at the inbox: neither liveness nor the wire
-        // sequence advances, so the loss surfaces later as staleness plus
-        // a sequence gap — exactly like a frame lost in flight.
-        continue;
-      }
-      if (hierarchical()) {
-        ++hier_.symptoms_accepted;
-        hier_accepted_metric_.inc();
-      }
-      if (p_.hardening) track_channel(agent, m);
+    const auto hb = decode_heartbeat(m);
+    const auto symptom = hb ? std::nullopt : decode(m, agent);
+    // Implicit addressing: the routing key is the subject component (job
+    // symptoms carry their host there; heartbeats key on the agent's own
+    // component), and the overlay's routing is enforced at the receiver —
+    // a tester keeps evidence and channel state only for its slice.
+    const bool in_slice =
+        (hb || symptom) &&
+        topo_.is_tester(position_, hb ? agent : symptom->subject_component);
+    if (hb && in_slice && fp_ &&
+        fp_->hit(fault::FaultSite::kHeartbeatReceive)) {
+      // Heartbeat dropped at the inbox: neither liveness nor the wire
+      // sequence advances, so the loss surfaces later as staleness plus
+      // a sequence gap — exactly like a frame lost in flight.
+      continue;
+    }
+    // Every message that arrived counts for the port's wire sequence,
+    // in the slice or not: skipping one would read as a lost message.
+    if (p_.hardening) track_sequence(agent, m);
+    if (!hb && !symptom) continue;
+    if (!in_slice) {
+      ++hier_.symptoms_filtered;
+      hier_filtered_metric_.inc();
+      continue;
+    }
+    ++hier_.symptoms_accepted;
+    hier_accepted_metric_.inc();
+    AgentChannel& ch = channels_[agent];
+    // Liveness holds with hardening off too: the composed view asks
+    // whether a tester ever heard the FRU's agent.
+    ch.last_heard = std::max(ch.last_heard, round_);
+    if (hb) {
       ++heartbeats_;
-      AgentChannel& ch = channels_[agent];
       ch.reported_detected = hb->symptoms_detected;
       ++ch.heartbeats;
       if (hb->symptoms_dropped > ch.reported_dropped) {
@@ -281,26 +286,6 @@ void Assessor::process(platform::JobContext& ctx) {
         ch.reported_dropped = hb->symptoms_dropped;
       }
       continue;
-    }
-    if (p_.hardening && !hierarchical()) track_channel(agent, m);
-    const auto symptom = decode(m, agent);
-    if (!symptom) continue;
-    if (hierarchical()) {
-      // The routing key is the subject component (job symptoms carry
-      // their host there), so every tester of a FRU sees the identical
-      // evidence stream about it — and nothing else.
-      if (!topo_->is_tester(position_, symptom->subject_component)) {
-        ++hier_.symptoms_filtered;
-        hier_filtered_metric_.inc();
-        continue;
-      }
-      ++hier_.symptoms_accepted;
-      hier_accepted_metric_.inc();
-      // Liveness only, no wire-sequence accounting: a slice subscriber
-      // legitimately skips most of an agent's stream, so sequence jumps
-      // carry no loss signal here (gaps never feed trust either way).
-      AgentChannel& ch = channels_[agent];
-      ch.last_heard = std::max(ch.last_heard, round_);
     }
     // Retransmissions arrive as duplicates of an already-ingested
     // observation key; charging them again would let the resend machinery
@@ -412,7 +397,8 @@ void Assessor::process(platform::JobContext& ctx) {
     }
   }
 
-  if (hierarchical()) emit_deltas(ctx);
+  // A one-position cube has no edges, hence no port, to disseminate on.
+  if (dissem_port_) emit_deltas(ctx);
 
   // Trajectory sampling (Fig. 9).
   if (round_ >= last_sample_ + kSamplePeriod) {
@@ -446,7 +432,7 @@ void Assessor::handle_delta(const vnet::Message& m) {
   // Deltas travel strictly along cube edges; anything else is a routing
   // anomaly (stale peer view, misconfiguration) and is refused so the
   // flood's termination argument stays edge-local.
-  if (!topo_->are_neighbors(position_, peer->second)) {
+  if (!topo_.are_neighbors(position_, peer->second)) {
     ++hier_.deltas_rejected;
     hier_rejected_metric_.inc();
     return;
@@ -543,7 +529,7 @@ void Assessor::emit_deltas(platform::JobContext& ctx) {
     dissem_out_.push_back(PendingDelta{d, /*forward=*/false});
   };
   for (platform::ComponentId c = 0; c < component_count_; ++c) {
-    if (!topo_->is_tester(position_, c)) continue;
+    if (!topo_.is_tester(position_, c)) continue;
     const bool suspect =
         component_trust_[c] < kViolationThreshold;
     if (suspect && (!comp_delta_active_[c] || refresh)) {
@@ -557,7 +543,7 @@ void Assessor::emit_deltas(platform::JobContext& ctx) {
   for (const auto& [j, trust] : job_trust_) {
     const auto host_it = job_host_.find(j);
     if (host_it == job_host_.end()) continue;
-    if (!topo_->is_tester(position_, host_it->second)) continue;
+    if (!topo_.is_tester(position_, host_it->second)) continue;
     const bool suspect = trust < kViolationThreshold;
     bool& active = job_delta_active_[j];
     if (suspect && (!active || refresh)) {
@@ -580,7 +566,7 @@ void Assessor::emit_deltas(platform::JobContext& ctx) {
       continue;
     }
     const vnet::Message m = encode_delta(pd.d, round_);
-    if (!ctx.send(dissem_port_, m.value, m.kind, m.aux)) {
+    if (!ctx.send(*dissem_port_, m.value, m.kind, m.aux)) {
       // Port back-pressure: requeue at the front and stop — order is
       // preserved and the budget retries next round.
       dissem_out_.push_front(pd);
@@ -611,67 +597,22 @@ const VerdictDelta* Assessor::cached_job_delta(platform::JobId j) const {
 void Assessor::reset_component_trust(platform::ComponentId c) {
   component_trust_.at(c) = kInitialTrust;
   component_violation_round_.erase(c);
-  if (hierarchical()) {
-    delta_cache_.erase(DeltaKey{false, c});
-    if (comp_delta_active_[c]) {
-      comp_delta_active_[c] = false;
-      queue_clear_delta(false, c, kInitialTrust);
-    }
+  delta_cache_.erase(DeltaKey{false, c});
+  if (comp_delta_active_[c]) {
+    comp_delta_active_[c] = false;
+    queue_clear_delta(false, c, kInitialTrust);
   }
 }
 
 void Assessor::reset_job_trust(platform::JobId j) {
   job_trust_[j] = kInitialTrust;
   job_violation_round_.erase(j);
-  if (hierarchical()) {
-    delta_cache_.erase(DeltaKey{true, j});
-    auto it = job_delta_active_.find(j);
-    if (it != job_delta_active_.end() && it->second) {
-      it->second = false;
-      queue_clear_delta(true, j, kInitialTrust);
-    }
+  delta_cache_.erase(DeltaKey{true, j});
+  auto it = job_delta_active_.find(j);
+  if (it != job_delta_active_.end() && it->second) {
+    it->second = false;
+    queue_clear_delta(true, j, kInitialTrust);
   }
-}
-
-void Assessor::reconcile_from(const Assessor& fresher) {
-  // Per-FRU max-staleness merge: the side that heard the FRU's agent more
-  // recently contributes trust and channel state.
-  for (platform::ComponentId c = 0; c < component_count_; ++c) {
-    if (fresher.channels_[c].last_heard >= channels_[c].last_heard) {
-      channels_[c] = fresher.channels_[c];
-      component_trust_[c] = fresher.component_trust_[c];
-    }
-    auto vit = fresher.component_violation_round_.find(c);
-    if (vit != fresher.component_violation_round_.end()) {
-      auto [mine, inserted] = component_violation_round_.emplace(c, vit->second);
-      if (!inserted) mine->second = std::min(mine->second, vit->second);
-    }
-  }
-  for (auto& [j, trust] : job_trust_) {
-    const platform::ComponentId host = host_of(j);
-    auto theirs = fresher.job_trust_.find(j);
-    if (theirs != fresher.job_trust_.end() &&
-        fresher.channels_[host].last_heard >= channels_[host].last_heard) {
-      trust = theirs->second;
-    }
-  }
-  for (const auto& [j, r] : fresher.job_violation_round_) {
-    auto [mine, inserted] = job_violation_round_.emplace(j, r);
-    if (!inserted) mine->second = std::min(mine->second, r);
-  }
-  // Both assessors subscribe to the same symptom multicast, so the side
-  // that stayed alive holds (essentially) a superset of the other's
-  // evidence: adopt its store wholesale when it is ahead in rounds or in
-  // ingested volume. The dedupe sets are unioned so that neither side's
-  // already-charged observations can be double-ingested afterwards.
-  if (fresher.round_ >= round_ ||
-      fresher.store_.symptoms_ingested() > store_.symptoms_ingested()) {
-    store_ = fresher.store_;
-    component_trajectories_ = fresher.component_trajectories_;
-    last_sample_ = fresher.last_sample_;
-    summary_ = fresher.summary_;
-  }
-  seen_.insert(fresher.seen_.begin(), fresher.seen_.end());
 }
 
 ComponentFeatures Assessor::component_features(platform::ComponentId c) const {

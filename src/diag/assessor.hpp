@@ -12,8 +12,8 @@
 // trajectory hugs 1.0 while a degrading FRU's trajectory descends — the
 // two arrows of Fig. 9.
 //
-// The assessor also polices its own evidence channel. Each agent's symptom
-// port carries a contiguous wire sequence number and a periodic heartbeat;
+// The assessor also polices its own evidence channel. Each agent's port to
+// it carries a contiguous wire sequence number and a periodic heartbeat;
 // the assessor tracks per-channel staleness and sequence gaps, so agent
 // silence degrades the FRU's *evidence quality* instead of letting trust
 // quietly recover toward 1.0 — silence of the monitor is not health of
@@ -56,8 +56,9 @@ struct TrustSample {
 };
 
 /// Per-agent diagnostic-channel state: when the assessor last heard the
-/// agent (symptom *or* heartbeat), the next expected wire sequence number
-/// on its symptom port, and the agent's self-confessed drop count.
+/// agent (symptom *or* heartbeat about its slice), the next expected wire
+/// sequence number on the agent's port to this position, and the agent's
+/// self-confessed drop count.
 struct AgentChannel {
   tta::RoundId last_heard = 0;
   std::uint32_t next_seq = 0;
@@ -82,8 +83,14 @@ class Assessor {
     bool hardening = true;
   };
 
+  /// The assessor at overlay `position` of `topology`, its *local* view:
+  /// it keeps per-FRU evidence only for its tester slice, filters
+  /// everything else at the inbox, and exchanges verdict deltas with its
+  /// cube neighbours. A one-position cube makes it the whole cluster's
+  /// assessor.
   Assessor(Params p, fault::SpatialLayout layout, std::uint32_t component_count,
-           std::uint32_t job_count);
+           std::uint32_t job_count, HierarchyTopology topology,
+           std::uint32_t position);
 
   /// Registers which agent job reports for which component (observer
   /// reconstruction on decode).
@@ -111,11 +118,11 @@ class Assessor {
   /// simulator's registry automatically.
   void bind_metrics(obs::Registry& registry);
 
-  /// Binds the hierarchy-mode dissemination counters. Unlike bind_metrics
-  /// (primary only — replicas would double-count the shared multicast),
-  /// these are bound on *every* assessor: each position filters and
-  /// forwards its own slice, so the cluster-wide sums are the meaningful
-  /// quantities (diag.hierarchy.* counters).
+  /// Binds the overlay's dissemination counters. Unlike bind_metrics
+  /// (position 0 only — the other testers of a FRU would count its
+  /// symptoms again), these are bound on *every* assessor: each position
+  /// filters and forwards its own slice, so the cluster-wide sums are the
+  /// meaningful quantities (diag.hierarchy.* counters).
   void bind_hierarchy_metrics(obs::Registry& registry);
 
   /// Attaches the provenance tracer (not owned; nullptr detaches): every
@@ -128,40 +135,24 @@ class Assessor {
   /// Attaches the fault-point registry (not owned; nullptr detaches): the
   /// heartbeat-receive and staleness-expiry edges become enumerable
   /// injection sites. DiagnosticService::bind_fault_points wires every
-  /// assessor replica.
+  /// assessor position.
   void bind_fault_points(fault::FaultPointRegistry* fp) { fp_ = fp; }
-
-  /// Max-staleness state merge from a fresher replica, used on failback:
-  /// per FRU, whichever side heard that FRU's agent later contributes the
-  /// trust level and channel state; violation instants take the earlier of
-  /// the two sides. Both assessors subscribe to the same symptom
-  /// multicast, so when `fresher` is ahead in rounds its evidence store
-  /// and dedupe set are supersets of ours and are adopted wholesale — the
-  /// adopted dedupe set then filters any backlog the revived assessor
-  /// still re-ingests.
-  void reconcile_from(const Assessor& fresher);
 
   /// Maintenance reset after an executed repair: the replacement FRU
   /// starts with fresh trust and no violation history. Accumulated
   /// evidence and channel state are deliberately kept — a mis-repair must
   /// stay classifiable from the full symptom history, and the agent
   /// channel belongs to the diagnostic path, not to the repaired FRU.
-  /// In hierarchy mode the reset also drops the FRU's cached disseminated
-  /// verdict and queues a clear delta, so a reconciling peer cannot
-  /// resurrect suspicion of a unit that is no longer installed.
+  /// The reset also drops the FRU's cached disseminated verdict and
+  /// queues a clear delta, so no peer resurrects suspicion of a unit that
+  /// is no longer installed.
   void reset_component_trust(platform::ComponentId c);
   void reset_job_trust(platform::JobId j);
 
-  // --- hierarchy mode ----------------------------------------------------
-  /// Switches this assessor into the VCube overlay: it keeps per-FRU
-  /// evidence only for its tester slice, filters everything else at the
-  /// inbox, and exchanges verdict deltas with its cube neighbours on
-  /// `dissem_port`. `topology` is this assessor's *local* view — each
-  /// replica owns one and recomputes it from its own membership view.
-  void enable_hierarchy(HierarchyTopology topology, std::uint32_t position,
-                        platform::PortId dissem_port);
-  [[nodiscard]] bool hierarchical() const { return topo_.has_value(); }
-  [[nodiscard]] const HierarchyTopology& topology() const { return *topo_; }
+  // --- overlay ------------------------------------------------------------
+  [[nodiscard]] const HierarchyTopology& topology() const { return topo_; }
+  /// The port verdict deltas leave on (edges to the cube neighbours).
+  void set_dissemination_port(platform::PortId port) { dissem_port_ = port; }
 
   /// Declares a peer assessor job and its cube position (delta acceptance
   /// resolves senders through this map and checks the cube edge).
@@ -173,7 +164,7 @@ class Assessor {
   /// membership change and the overlay catching up).
   void refresh_topology(const std::vector<bool>& alive);
 
-  /// Cross-cluster dissemination counters (hierarchy mode only).
+  /// Slice filtering and dissemination counters.
   struct HierarchyStats {
     std::uint64_t symptoms_accepted = 0;
     std::uint64_t symptoms_filtered = 0;
@@ -194,10 +185,10 @@ class Assessor {
 
   /// Whether this assessor ever heard the FRU's agent at all — the
   /// composition fallback test: a responsible tester that never heard the
-  /// agent (promoted after a multi-kill) serves the cached delta instead.
+  /// agent (reassigned after a multi-kill) serves the cached delta instead.
   [[nodiscard]] bool ever_heard(platform::ComponentId c) const {
     const AgentChannel& ch = channels_.at(c);
-    return ch.seq_seen || ch.last_heard != 0;
+    return ch.heartbeats > 0 || ch.last_heard != 0;
   }
 
   /// The evidence summary every component feature is read from
@@ -315,9 +306,9 @@ class Assessor {
   /// site's occurrence space proportional to expiry *events*, not rounds.
   std::vector<bool> was_stale_;
 
-  /// Updates the agent's channel state (liveness + wire-seq gap check)
-  /// for one inbox message.
-  void track_channel(platform::ComponentId agent, const vnet::Message& m);
+  /// Wire-sequence gap check for one message that arrived on one of the
+  /// agent's ports, in this tester's slice or not.
+  void track_sequence(platform::ComponentId agent, const vnet::Message& m);
   /// True if the symptom's observation key has not been seen within the
   /// dedupe window (and records it).
   bool dedupe_accept(const Symptom& s);
@@ -351,10 +342,10 @@ class Assessor {
   std::uint64_t agent_drops_ = 0;
   std::uint64_t heartbeats_ = 0;
 
-  // --- hierarchy state ---------------------------------------------------
-  std::optional<HierarchyTopology> topo_;
+  // --- overlay state -----------------------------------------------------
+  HierarchyTopology topo_;
   std::uint32_t position_ = 0;
-  platform::PortId dissem_port_ = 0;
+  std::optional<platform::PortId> dissem_port_;
   std::map<platform::JobId, std::uint32_t> peer_position_;
   HierarchyStats hier_;
   /// Cached verdicts per FRU key {job_level, fru id}.

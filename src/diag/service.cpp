@@ -9,13 +9,7 @@ namespace decos::diag {
 namespace {
 
 constexpr std::string_view kChannelDegraded = "diagnostic-channel-degraded";
-/// How long a revived higher-priority host must stay continuously alive
-/// before the service hands back to it. A restarted node can briefly drop
-/// out of sync again while its clock reintegrates; the hold keeps that
-/// flap from causing failover churn.
-constexpr sim::Duration kFailbackHold = sim::milliseconds(50);
-/// Hierarchy mode: dissemination vnet budget (messages per round per node)
-/// and queue depth.
+/// Dissemination vnet budget (messages per round per node) and queue depth.
 constexpr std::uint16_t kDissemMsgsPerRound = 16;
 constexpr std::uint16_t kDissemQueueDepth = 128;
 
@@ -42,7 +36,6 @@ DiagnosticService::DiagnosticService(platform::System& system, SpecTable specs,
                                      fault::SpatialLayout layout, Params params)
     : system_(system), specs_(std::move(specs)),
       hardening_(params.assessor.hardening),
-      hierarchy_(params.hierarchy),
       component_verdicts_(system.component_count(), fault::FaultClass::kNone),
       asserted_onas_(system.component_count(), 0),
       host_diag_(system.component_count()) {
@@ -78,36 +71,35 @@ DiagnosticService::DiagnosticService(platform::System& system, SpecTable specs,
   hosts_.insert(hosts_.end(), params.replica_hosts.begin(),
                 params.replica_hosts.end());
 
+  view_topo_ = HierarchyTopology(hosts_, system_.component_count());
+  const std::uint32_t dim = view_topo_.dimension();
   for (std::size_t i = 0; i < hosts_.size(); ++i) {
     assessors_.push_back(std::make_unique<Assessor>(
         params.assessor, layout, system_.component_count(),
-        static_cast<std::uint32_t>(system_.job_count())));
+        static_cast<std::uint32_t>(system_.job_count()),
+        HierarchyTopology(hosts_, system_.component_count()),
+        static_cast<std::uint32_t>(i)));
     Assessor* assessor = assessors_.back().get();
-    // Only the primary feeds the metrics registry: replicas ingest the
-    // same multicast symptom stream and would double-count it.
-    if (i == 0) assessor->bind_metrics(system_.simulator().metrics());
-    // Every replica traces provenance: spans carry the journey id, so a
-    // failover's replacement assessor keeps the journey record seamless
-    // (the tracer dedupes repeats by coalescing, not by source).
+    // Only position 0 feeds the ingest counters: with several positions a
+    // symptom reaches every tester of its subject and would count once
+    // per tester. The dissemination counters are per position by nature.
+    if (i == 0) assessor->bind_metrics(metrics);
+    assessor->bind_hierarchy_metrics(metrics);
+    // Every position traces provenance: spans carry the journey id, so a
+    // reassigned tester keeps the journey record seamless (the tracer
+    // dedupes repeats by coalescing, not by source).
     assessor->bind_provenance(&system_.simulator().provenance());
     platform::Job& job = system_.add_job(
         das, i == 0 ? "diag.assessor" : "diag.assessor.r" + std::to_string(i),
         hosts_[i],
         [this, assessor, i](platform::JobContext& ctx) {
-          // The overlay replaces failover: each position re-derives its
-          // tester sets from its own host's membership view, so a dead
-          // assessor's slice migrates by local recomputation alone.
-          if (hierarchy_) refresh_local_view(*assessor, i);
+          // Each position re-derives its tester sets from its own host's
+          // membership view, so a dead assessor's slice migrates by local
+          // recomputation alone.
+          refresh_local_view(*assessor, i);
           assessor->process(ctx);
-          // Failover is evaluated here and nowhere else: an outage that
-          // begins and ends between two queries still promotes the
-          // replica and reconciles on revival.
-          check_failover();
-          // One verdict pass per round, after failover: run by the active
-          // assessor, or in hierarchy mode by the first position to run.
-          if ((hierarchy_ || i == active_) && ctx.round() != last_pass_) {
-            verdict_pass(ctx.round());
-          }
+          // One verdict pass per round, run by the first position to run.
+          if (ctx.round() != last_pass_) verdict_pass(ctx.round());
         });
     assessor_jobs_.push_back(job.id());
     for (platform::JobId j : subject_jobs_) {
@@ -120,7 +112,7 @@ DiagnosticService::DiagnosticService(platform::System& system, SpecTable specs,
   // ablates the whole diagnostic-path hardening end to end.
   for (platform::ComponentId c = 0; c < system_.component_count(); ++c) {
     agents_.push_back(std::make_unique<Agent>(system_, das, c, specs_,
-                                              assessor_jobs_, hardening_));
+                                              hardening_));
     for (auto& assessor : assessors_) {
       assessor->register_agent(agents_.back()->job_id(), c);
     }
@@ -140,12 +132,10 @@ DiagnosticService::DiagnosticService(platform::System& system, SpecTable specs,
     for (auto& assessor : assessors_) assessor->ingest_external(s);
   };
 
-  if (hierarchy_) {
-    view_topo_.emplace(hosts_, system_.component_count());
-    const std::uint32_t dim = view_topo_->dimension();
-    // Verdict deltas travel on their own vnet: dissemination must compete
-    // for bandwidth like everything else, but never with the symptom
-    // stream it summarises.
+  // Verdict deltas travel on their own vnet: dissemination must compete
+  // for bandwidth like everything else, but never with the symptom stream
+  // it summarises. A one-position cube has no edges and gets no vnet.
+  if (dim > 0) {
     const platform::VnetId dissem = system_.add_vnet(
         "vn.diag.dissem", kDissemMsgsPerRound, kDissemQueueDepth);
     for (std::size_t i = 0; i < assessors_.size(); ++i) {
@@ -158,39 +148,33 @@ DiagnosticService::DiagnosticService(platform::System& system, SpecTable specs,
           cube_neighbors.push_back(assessor_jobs_[q]);
         }
       }
-      const platform::PortId port = system_.add_port(
+      assessors_[i]->set_dissemination_port(system_.add_port(
           assessor_jobs_[i], "diag.dissem." + std::to_string(i), dissem,
-          std::move(cube_neighbors));
-      assessors_[i]->enable_hierarchy(
-          HierarchyTopology(hosts_, system_.component_count()),
-          static_cast<std::uint32_t>(i), port);
+          std::move(cube_neighbors)));
       for (std::size_t q = 0; q < assessor_jobs_.size(); ++q) {
         if (q != i) {
           assessors_[i]->register_peer(assessor_jobs_[q],
                                        static_cast<std::uint32_t>(q));
         }
       }
-      assessors_[i]->bind_hierarchy_metrics(system_.simulator().metrics());
     }
-    // Agents route by subject over per-position unicast ports; the shared
-    // multicast port stays wired but idle (flush() branches to routing).
-    for (platform::ComponentId c = 0; c < system_.component_count(); ++c) {
-      std::vector<platform::PortId> tester_ports;
-      tester_ports.reserve(assessor_jobs_.size());
-      for (std::size_t i = 0; i < assessor_jobs_.size(); ++i) {
-        tester_ports.push_back(system_.add_port(
-            agents_[c]->job_id(),
-            "symptoms." + std::to_string(c) + ".p" + std::to_string(i),
-            platform::kDiagnosticVnet, {assessor_jobs_[i]}));
-      }
-      agents_[c]->enable_hierarchy(&*view_topo_, std::move(tester_ports));
-    }
-    metrics.gauge("diag.hierarchy.dimension")
-        .set(static_cast<double>(dim));
-    metrics.gauge("diag.hierarchy.positions")
-        .set(static_cast<double>(view_topo_->positions()));
-    recomputes_metric_ = metrics.gauge("diag.hierarchy.recomputes");
   }
+  // Agents route by subject over per-position unicast ports.
+  for (platform::ComponentId c = 0; c < system_.component_count(); ++c) {
+    std::vector<platform::PortId> tester_ports;
+    tester_ports.reserve(assessor_jobs_.size());
+    for (std::size_t i = 0; i < assessor_jobs_.size(); ++i) {
+      tester_ports.push_back(system_.add_port(
+          agents_[c]->job_id(),
+          "symptoms." + std::to_string(c) + ".p" + std::to_string(i),
+          platform::kDiagnosticVnet, {assessor_jobs_[i]}));
+    }
+    agents_[c]->route_over(&view_topo_, std::move(tester_ports));
+  }
+  metrics.gauge("diag.hierarchy.dimension").set(static_cast<double>(dim));
+  metrics.gauge("diag.hierarchy.positions")
+      .set(static_cast<double>(view_topo_.positions()));
+  recomputes_metric_ = metrics.gauge("diag.hierarchy.recomputes");
 }
 
 void DiagnosticService::refresh_local_view(Assessor& a, std::size_t i) {
@@ -210,14 +194,13 @@ void DiagnosticService::refresh_view() {
   for (std::size_t k = 0; k < hosts_.size(); ++k) {
     alive_scratch_[k] = host_alive(hosts_[k]);
   }
-  view_topo_->update(alive_scratch_);
+  view_topo_.update(alive_scratch_);
 }
 
 const Assessor* DiagnosticService::resolve_component(
     platform::ComponentId c, const VerdictDelta** delta) const {
   if (delta) *delta = nullptr;
-  if (!hierarchy_) return assessors_[active_].get();
-  const auto& testers = view_topo_->testers(c);
+  const auto& testers = view_topo_.testers(c);
   for (const HierarchyTopology::Position p : testers) {
     const Assessor& a = *assessors_[p];
     // First tester (in priority order) that actually heard the FRU's
@@ -272,7 +255,6 @@ Diagnosis DiagnosticService::diagnose_job(platform::JobId j) const {
 
 std::optional<tta::RoundId> DiagnosticService::first_component_violation(
     platform::ComponentId c) const {
-  if (!hierarchy_) return assessor().first_component_violation(c);
   // Composed minimum over every position: only `c`'s testers ever ingest
   // evidence about it, so this is the earliest detection instant any
   // (possibly since-reassigned) tester recorded.
@@ -286,7 +268,6 @@ std::optional<tta::RoundId> DiagnosticService::first_component_violation(
 
 std::optional<tta::RoundId> DiagnosticService::first_job_violation(
     platform::JobId j) const {
-  if (!hierarchy_) return assessor().first_job_violation(j);
   std::optional<tta::RoundId> best;
   for (const auto& a : assessors_) {
     const auto v = a->first_job_violation(j);
@@ -326,66 +307,6 @@ bool DiagnosticService::host_alive(platform::ComponentId c) const {
   return ((node.membership() >> c) & 1u) != 0;
 }
 
-void DiagnosticService::check_failover() {
-  // The overlay has no active assessor to fail over: tester reassignment
-  // on membership change is the (strictly more general) healing mechanism.
-  if (hierarchy_) return;
-  // Failover is part of the hardening package: the ablated architecture
-  // stays pinned to the primary even when its host is dead.
-  if (!hardening_ || assessors_.size() <= 1) return;
-  std::size_t chosen = active_;
-  for (std::size_t i = 0; i < hosts_.size(); ++i) {
-    if (host_alive(hosts_[i])) {
-      chosen = i;
-      break;
-    }
-    // All hosts dead: keep the current assessor — its frozen state is the
-    // best maintenance view that exists.
-  }
-  if (chosen == active_) {
-    failback_candidate_ = SIZE_MAX;
-    return;
-  }
-  if (host_alive(hosts_[active_])) {
-    // The active assessor is healthy and a higher-priority host came back:
-    // debounce the hand-back. A restarted node can drop out of sync again
-    // for a few rounds while its clock reintegrates, and flapping between
-    // assessors would churn reconciliations for nothing.
-    const sim::SimTime now = system_.simulator().now();
-    if (failback_candidate_ != chosen) {
-      failback_candidate_ = chosen;
-      failback_candidate_since_ = now;
-      return;
-    }
-    if ((now - failback_candidate_since_).ns() < kFailbackHold.ns()) return;
-  }
-  // Failover/failback fault sites: firing defers the transition by one
-  // evaluation (the decision logic glitches, the next assessment round
-  // re-evaluates from scratch). Placed before any state mutation so the
-  // deferred transition replays cleanly.
-  const bool is_failback = chosen < active_;
-  if (fp_ && fp_->hit(is_failback ? fault::FaultSite::kFailback
-                                  : fault::FaultSite::kFailover)) {
-    return;
-  }
-  // A dead active assessor serves nobody: promote immediately.
-  failback_candidate_ = SIZE_MAX;
-  // The newly active assessor adopts whatever fresher state the outgoing
-  // one holds. On failover the outgoing (dead) side is per-FRU staler so
-  // the merge is a no-op; on failback it is exactly the reconciliation of
-  // the revived host with the replica that stayed alive.
-  assessors_[chosen]->reconcile_from(*assessors_[active_]);
-  obs::Registry& metrics = system_.simulator().metrics();
-  if (chosen < active_) {
-    ++failbacks_;
-    metrics.counter("diag.assessor.failbacks").inc();
-  } else {
-    ++failovers_;
-    metrics.counter("diag.assessor.failovers").inc();
-  }
-  active_ = chosen;
-}
-
 void DiagnosticService::assert_external_ona(platform::ComponentId c,
                                             const std::string& name) {
   auto& onas = external_onas_[c];
@@ -411,7 +332,6 @@ void DiagnosticService::reset_job_trust(platform::JobId j) {
 }
 
 void DiagnosticService::bind_fault_points(fault::FaultPointRegistry* fp) {
-  fp_ = fp;
   for (auto& assessor : assessors_) assessor->bind_fault_points(fp);
   for (auto& agent : agents_) agent->bind_fault_points(fp);
 }
@@ -426,8 +346,7 @@ std::size_t DiagnosticService::record_detection_latency(
   for (const fault::InjectedFault& f : injector.ledger()) {
     // A job-level fault is detected when its software FRU is suspected; a
     // component-level fault when the hardware FRU is. The composed
-    // accessors resolve to the active assessor in legacy mode and to the
-    // earliest-recording tester in hierarchy mode.
+    // accessors resolve to the earliest-recording tester.
     std::optional<tta::RoundId> violation =
         f.job ? first_job_violation(*f.job)
               : first_component_violation(f.component);
@@ -448,11 +367,10 @@ std::size_t DiagnosticService::record_detection_latency(
 }
 
 std::vector<FruReport> DiagnosticService::report() const {
-  // Legacy and replica modes answer every row from the active assessor.
-  // The hierarchy composes the report from the per-slice partial views:
-  // each component row is answered by its serving tester (local evidence
-  // first, disseminated verdict as the fallback), so no single assessor
-  // ever needs the whole cluster's evidence in memory.
+  // The report is composed from the per-slice partial views: each
+  // component row is answered by its serving tester (local evidence first,
+  // disseminated verdict as the fallback), so no single assessor ever
+  // needs the whole cluster's evidence in memory.
   const OnaEngine& onas = standard_onas();
   std::vector<FruReport> rows;
   // Each component's own classification; its job rows reuse it.
@@ -511,10 +429,8 @@ std::vector<FruReport> DiagnosticService::report() const {
 
 void DiagnosticService::verdict_pass(tta::RoundId round) {
   last_pass_ = round;
-  if (hierarchy_) {
-    refresh_view();
-    recomputes_metric_.set(static_cast<double>(view_topo_->recomputes()));
-  }
+  refresh_view();
+  recomputes_metric_.set(static_cast<double>(view_topo_.recomputes()));
   const OnaEngine& onas = standard_onas();
   const std::uint32_t channel_bit = 1u << onas.rules().size();
   for (platform::ComponentId c = 0; c < system_.component_count(); ++c) {

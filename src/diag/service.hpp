@@ -10,12 +10,13 @@
 // service technician (Fig. 11).
 //
 // The diagnostic DAS is itself safety-relevant, so the service survives
-// faults in its own path: when the primary assessor's host component dies
-// the lowest-indexed replica on a live host is promoted deterministically,
-// and when a higher-priority host reintegrates its assessor reconciles
-// state from the one that stayed alive (max-staleness merge) before
-// taking back over. Every report row carries an evidence-quality field so
-// "verified healthy" and "no recent evidence" are never conflated.
+// faults in its own path. The assessor hosts form a VCube overlay
+// (diag/topology.hpp): each FRU is watched by its logarithmic tester set,
+// and when a host dies every survivor recomputes the tester sets from its
+// own membership view — no promotion, no hand-back, no state merge. A
+// single host is the one-position cube. Every report row carries an
+// evidence-quality field so "verified healthy" and "no recent evidence"
+// are never conflated.
 #pragma once
 
 #include <functional>
@@ -56,7 +57,7 @@ struct FruReport {
   /// diagnostic agent is fresh; lower values mean the assessor has not
   /// heard the agent recently and the verdict rests on stale evidence.
   double evidence_quality = 1.0;
-  /// Rounds since the FRU's agent was last heard by the active assessor.
+  /// Rounds since the FRU's agent was last heard by the serving tester.
   tta::RoundId evidence_age = 0;
   /// Whether the agent was heard within the assessor's staleness
   /// threshold. Derived from the integer evidence age, never from
@@ -84,43 +85,30 @@ class DiagnosticService {
   using VerdictListener = std::function<void(const VerdictChange&)>;
 
   struct Params {
-    /// Component hosting the (primary) assessor job.
+    /// Component hosting the assessor at overlay position 0.
     platform::ComponentId assessor_host = 0;
-    /// Additional components hosting replica assessors. The diagnostic
-    /// DAS is itself safety-relevant: replicated assessors keep the
-    /// maintenance view alive when the primary's component dies. Agents
-    /// multicast their symptom stream to every assessor.
+    /// Components hosting the assessors at positions 1, 2, ... The
+    /// diagnostic DAS is itself safety-relevant: the hosts form a VCube
+    /// overlay in which each FRU is monitored by its logarithmic tester
+    /// set, agents unicast symptoms to the subject's current testers only,
+    /// and assessors exchange verdict deltas along cube edges. The overlay
+    /// heals by local tester recomputation, and every query composes the
+    /// per-slice partial views (use the service-level accessors, not
+    /// assessor(), on a multi-host service).
     std::vector<platform::ComponentId> replica_hosts;
     Assessor::Params assessor{};
-    /// Hierarchical diagnosis: the assessor hosts (primary + replicas)
-    /// form a VCube overlay instead of an all-watch-all replica set. Each
-    /// FRU is monitored by its logarithmic tester set, agents unicast
-    /// symptoms to the subject's current testers only, and assessors
-    /// exchange verdict deltas along cube edges. The active/failover
-    /// machinery is bypassed: the overlay self-heals by local tester
-    /// recomputation, and every query composes the per-slice partial
-    /// views (use the service-level accessors, not assessor()).
-    bool hierarchy = false;
   };
 
   DiagnosticService(platform::System& system, SpecTable specs,
                     fault::SpatialLayout layout, Params params);
 
-  /// The ACTIVE assessor: the primary while its host lives, otherwise the
-  /// promoted replica (failover is evaluated once per assessment round).
-  [[nodiscard]] Assessor& assessor() { return *assessors_[active_]; }
-  [[nodiscard]] const Assessor& assessor() const {
-    return *assessors_[active_];
-  }
-  /// Replica access by fixed index (0 = primary), failover-independent.
+  /// The assessor at overlay position 0. With a single host it holds the
+  /// whole cluster's evidence; with several it holds only its slice.
+  [[nodiscard]] Assessor& assessor() { return *assessors_.front(); }
+  [[nodiscard]] const Assessor& assessor() const { return *assessors_.front(); }
+  /// The assessor at overlay position `i` (0 = assessor_host).
   [[nodiscard]] Assessor& assessor(std::size_t i) { return *assessors_.at(i); }
   [[nodiscard]] std::size_t assessor_count() const { return assessors_.size(); }
-  /// Index of the currently active assessor (0 = primary).
-  [[nodiscard]] std::size_t active_assessor() const { return active_; }
-  /// Promotions of a replica after the active assessor's host died.
-  [[nodiscard]] std::uint64_t failovers() const { return failovers_; }
-  /// Reconciled hand-backs to a revived higher-priority host.
-  [[nodiscard]] std::uint64_t failbacks() const { return failbacks_; }
   [[nodiscard]] platform::JobId assessor_job() const { return assessor_job_; }
 
   /// Is this job part of the diagnostic DAS (agents + assessor)?
@@ -143,30 +131,29 @@ class DiagnosticService {
   void retract_external_ona(platform::ComponentId c, const std::string& name);
 
   /// Maintenance reset after an *executed* repair of the FRU: every
-  /// assessor — active and replicas alike — restarts the FRU's trust at
-  /// its initial value and forgets the violation instant, so a later
-  /// failback reconciliation cannot resurrect pre-repair suspicion of a
-  /// unit that is physically no longer installed.
+  /// assessor position restarts the FRU's trust at its initial value and
+  /// forgets the violation instant, so no tester — and no disseminated
+  /// verdict — resurrects pre-repair suspicion of a unit that is
+  /// physically no longer installed.
   void reset_component_trust(platform::ComponentId c);
   void reset_job_trust(platform::JobId j);
 
   /// Attaches the fault-point registry (not owned; nullptr detaches) to
-  /// the whole diagnostic path: every agent (heartbeat-send, resend-push),
-  /// every assessor replica (heartbeat-receive, staleness-expiry) and the
-  /// service's own failover/failback decision edges.
+  /// the whole diagnostic path: every agent (heartbeat-send, resend-push)
+  /// and every assessor position (heartbeat-receive, staleness-expiry and
+  /// the dissemination and tester-reassignment edges).
   void bind_fault_points(fault::FaultPointRegistry* fp);
 
   // --- composed per-DAS diagnoser contract --------------------------------
   // Service-level accessors that answer "what does the architecture
   // believe about this FRU" independently of *which* assessor holds the
-  // evidence. In legacy mode they delegate to the active assessor; in
-  // hierarchy mode they compose the responsible tester's partial view,
-  // falling back to the disseminated verdict cache when the responsible
-  // tester was reassigned and never heard the FRU's agent itself.
-  /// The service's overlay view (hierarchy mode only), refreshed from the
-  /// hosts' self-membership by every verdict pass.
+  // evidence. They compose the responsible tester's partial view, falling
+  // back to the disseminated verdict cache when the responsible tester was
+  // reassigned and never heard the FRU's agent itself.
+  /// The service's overlay view, refreshed from the hosts' self-membership
+  /// by every verdict pass.
   [[nodiscard]] const HierarchyTopology& topology() const {
-    return *view_topo_;
+    return view_topo_;
   }
   [[nodiscard]] double component_trust(platform::ComponentId c) const;
   [[nodiscard]] double job_trust(platform::JobId j) const;
@@ -194,8 +181,8 @@ class DiagnosticService {
   /// is kNone) and hands each FRU whose verdict changed to it.
   void subscribe(VerdictListener listener) { listener_ = std::move(listener); }
 
-  /// Correlates the injector's ground-truth ledger with the active
-  /// assessor's first trust violations and records, for every injected
+  /// Correlates the injector's ground-truth ledger with the composed
+  /// first trust violations and records, for every injected
   /// fault whose FRU became suspected after the injection instant, the
   /// detection latency (injection -> first trust violation) into the
   /// simulator's metrics registry: histogram `diag.detection_latency_us`,
@@ -206,15 +193,9 @@ class DiagnosticService {
   std::size_t record_detection_latency(const fault::FaultInjector& injector);
 
  private:
-  /// Re-evaluates which assessor is active: the lowest-indexed one whose
-  /// host component is alive (deterministic promotion order). On a
-  /// transition the newly active assessor reconciles from the previously
-  /// active one — a no-op on failover (the dead side is staler), the
-  /// state-merge mechanism on failback.
-  void check_failover();
   [[nodiscard]] bool host_alive(platform::ComponentId c) const;
   /// Feeds assessor `i`'s *own host's* membership view into its local
-  /// topology (hierarchy mode; runs at the top of its assessment round).
+  /// topology (runs at the top of its assessment round).
   void refresh_local_view(Assessor& a, std::size_t i);
   /// Refreshes the service-level overlay view from per-host self-liveness.
   void refresh_view();
@@ -225,9 +206,9 @@ class DiagnosticService {
   /// diag.classifications, traces it and notifies the subscriber.
   void settle_verdict(fault::FaultClass& held, const VerdictChange& change,
                       tta::RoundId round);
-  /// Resolves the assessor composing `c`'s verdict: the active one in
-  /// legacy mode. When the verdict is served from the dissemination cache,
-  /// `*delta` is set to it.
+  /// Resolves the assessor composing `c`'s verdict: the first tester that
+  /// heard `c`'s agent. When the verdict is served from the dissemination
+  /// cache, `*delta` is set to it.
   [[nodiscard]] const Assessor* resolve_component(platform::ComponentId c,
                                                   const VerdictDelta** delta)
       const;
@@ -249,15 +230,8 @@ class DiagnosticService {
   std::vector<std::string> job_frus_;
   std::map<platform::ComponentId, std::vector<std::string>> external_onas_;
   bool hardening_ = true;
-  bool hierarchy_ = false;
-  std::optional<HierarchyTopology> view_topo_;
+  HierarchyTopology view_topo_;
   std::vector<bool> alive_scratch_;
-  fault::FaultPointRegistry* fp_ = nullptr;
-  std::size_t active_ = 0;
-  std::size_t failback_candidate_ = SIZE_MAX;
-  sim::SimTime failback_candidate_since_{};
-  std::uint64_t failovers_ = 0;
-  std::uint64_t failbacks_ = 0;
 
   // --- verdict pass ------------------------------------------------------
   VerdictListener listener_;
@@ -271,8 +245,8 @@ class DiagnosticService {
   std::vector<std::uint32_t> asserted_onas_;
   /// Pass scratch: each host's own classification, shared by its jobs.
   std::vector<std::optional<Diagnosis>> host_diag_;
-  /// diag.evidence_staleness{fru=cN} (hardened only) and, in hierarchy
-  /// mode, diag.hierarchy.recomputes: bound at construction.
+  /// diag.evidence_staleness{fru=cN} (hardened only) and
+  /// diag.hierarchy.recomputes: bound at construction.
   std::vector<obs::Gauge> staleness_metrics_;
   obs::Gauge recomputes_metric_;
 };

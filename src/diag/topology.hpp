@@ -1,7 +1,7 @@
 // VCube-style diagnostic overlay topology (Duarte et al., PAPERS.md).
 //
-// The hierarchical diagnosis mode organises the assessor-capable hosts as
-// a virtual hypercube. Each FRU (keyed by its hosting component) is
+// The diagnostic service organises its assessor hosts as a virtual
+// hypercube. Each FRU (keyed by its hosting component) is
 // monitored by a *logarithmic* tester set instead of by every assessor:
 // its home position h(c) = c mod A, plus the first fault-free member of
 // each VCube cluster c(h, s) for s = 1..d, where d = ceil(log2 A). The
@@ -38,7 +38,7 @@ class HierarchyTopology {
   HierarchyTopology() = default;
 
   /// `hosts[i]` is the component hosting the assessor at position i, in
-  /// the service's replica-priority order. All positions start alive.
+  /// the service's host order. All positions start alive.
   HierarchyTopology(std::vector<platform::ComponentId> hosts,
                     std::uint32_t component_count);
 

@@ -9,12 +9,11 @@ namespace {
 /// Token names, indexed by FaultSite. Part of the replay-token format —
 /// renaming one invalidates recorded counterexamples.
 constexpr const char* kSiteNames[kFaultSiteCount] = {
-    "heartbeat-send",  "heartbeat-receive", "resend-push",
-    "failover",        "failback",          "staleness-expiry",
-    "repair-settle",   "repair-verify",     "spare-alloc",
-    "diag-deliver",    "dissem-forward",    "stale-verdict",
-    "tester-reassign", "bit-sampler-spurious", "copy-on-corrupt-skip",
-    "frame-pool-exhausted",
+    "heartbeat-send",  "heartbeat-receive",    "resend-push",
+    "staleness-expiry", "repair-settle",       "repair-verify",
+    "spare-alloc",     "diag-deliver",         "dissem-forward",
+    "stale-verdict",   "tester-reassign",      "bit-sampler-spurious",
+    "copy-on-corrupt-skip", "frame-pool-exhausted",
 };
 
 }  // namespace

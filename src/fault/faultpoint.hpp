@@ -4,7 +4,7 @@
 // The chaos campaign samples fault schedules randomly; this registry is
 // the substrate for enumerating them exhaustively instead. Every fragile
 // edge — a heartbeat leaving an agent, a symptom entering the resend
-// buffer, an assessor failover decision, a repair-verification window
+// buffer, a tester-set recomputation, a repair-verification window
 // boundary — is instrumented with a hit() call naming its site. A run
 // then executes in one of three modes:
 //
@@ -16,7 +16,7 @@
 //   kArmed     exactly one (site, occurrence) pair fires: the Nth reach
 //              of the armed site returns true once and the caller
 //              applies the site's adverse perturbation (drop the
-//              heartbeat, skip the resend push, defer the failover...).
+//              heartbeat, skip the resend push, defer the recompute...).
 //
 // Because the simulator is deterministic, the armed run is bit-identical
 // to the counting run up to the firing instant, so every point the
@@ -40,8 +40,6 @@ enum class FaultSite : std::uint8_t {
   kHeartbeatSend = 0,   // agent heartbeat lost at the send instant
   kHeartbeatReceive,    // heartbeat dropped at the assessor inbox
   kResendPush,          // symptom never enters the resend buffer
-  kFailover,            // assessor promotion deferred one evaluation
-  kFailback,            // reconciled hand-back deferred one evaluation
   kStalenessExpiry,     // staleness watchdog misses an expiry tick
   kRepairSettle,        // post-repair settle glitch: trust reset lost
   kRepairVerify,        // verification deferred one more window
@@ -54,7 +52,7 @@ enum class FaultSite : std::uint8_t {
   kCopyOnCorruptSkip,   // pending bit flips silently not applied
   kFramePoolExhausted,  // corrupt-copy slot denied, delivery dropped
 };
-inline constexpr int kFaultSiteCount = 16;
+inline constexpr int kFaultSiteCount = 14;
 
 [[nodiscard]] const char* to_string(FaultSite s);
 [[nodiscard]] std::optional<FaultSite> site_from_string(std::string_view name);

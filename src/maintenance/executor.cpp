@@ -264,8 +264,8 @@ void MaintenanceExecutor::verify(std::size_t idx) {
     sim_.schedule_after(p_.verify_window, [this, idx] { verify(idx); });
     return;
   }
-  // Composed service accessors: the active assessor in legacy mode, the
-  // FRU's serving tester (or its disseminated verdict) in hierarchy mode.
+  // Composed service accessors: the FRU's serving tester, or its
+  // disseminated verdict.
   const double trust = o.job ? service_.job_trust(*o.job)
                              : service_.component_trust(o.component);
   if (trust >= Params::verify_trust) {

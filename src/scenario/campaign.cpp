@@ -23,9 +23,9 @@ Subject job_subject(Fig10System& rig, platform::JobId j) {
 
 diag::Diagnosis Archetype::diagnose(Fig10System& rig) const {
   const Subject s = subject(rig);
-  const diag::Assessor& assessor = rig.diag().assessor();
-  return s.job ? assessor.diagnose_job(*s.job)
-               : assessor.diagnose_component(s.component);
+  const diag::DiagnosticService& service = rig.diag();
+  return s.job ? service.diagnose_job(*s.job)
+               : service.diagnose_component(s.component);
 }
 
 std::vector<Archetype> standard_archetypes() {

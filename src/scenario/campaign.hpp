@@ -35,7 +35,7 @@ struct Archetype {
   std::function<void(Fig10System&)> inject;
   /// The affected FRU, resolved on the injected rig.
   std::function<Subject(Fig10System&)> subject;
-  /// The active assessor's verdict on the affected FRU after the run.
+  /// The composed service verdict on the affected FRU after the run.
   [[nodiscard]] diag::Diagnosis diagnose(Fig10System& rig) const;
 };
 

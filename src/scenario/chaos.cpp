@@ -16,8 +16,6 @@ sim::SimTime ms(std::int64_t v) { return sim::SimTime{0} + sim::milliseconds(v);
 /// touched on the calling thread.
 struct ChaosRun {
   fault::FaultClass predicted = fault::FaultClass::kNone;
-  std::uint64_t failovers = 0;
-  std::uint64_t failbacks = 0;
   std::uint64_t symptom_gaps = 0;
   std::uint64_t duplicates_dropped = 0;
   std::uint64_t agent_drops_reported = 0;
@@ -61,8 +59,6 @@ ChaosRun run_one_chaos(const Archetype& arch, std::uint64_t seed,
   out.predicted = arch.diagnose(rig).cls;
 
   auto& service = rig.diag();
-  out.failovers = service.failovers();
-  out.failbacks = service.failbacks();
   for (std::size_t i = 0; i < service.assessor_count(); ++i) {
     const auto& a = service.assessor(i);
     out.symptom_gaps += a.symptom_gaps();
@@ -160,8 +156,6 @@ ChaosCampaignResult run_chaos_campaign(const std::vector<Archetype>& archetypes,
           ++result.correct;
           ++row.correct;
         }
-        result.failovers += r.failovers;
-        result.failbacks += r.failbacks;
         result.symptom_gaps += r.symptom_gaps;
         result.duplicates_dropped += r.duplicates_dropped;
         result.agent_drops_reported += r.agent_drops_reported;
@@ -203,7 +197,7 @@ SilentAgentOutcome run_silent_agent_scenario(bool hardening,
         rig.run(horizon);
 
         SilentAgentOutcome o;
-        o.trust = rig.diag().assessor().component_trust(victim);
+        o.trust = rig.diag().component_trust(victim);
         // Component rows come first, in component order.
         const diag::FruReport r = rig.diag().report().at(victim);
         o.evidence_quality = r.evidence_quality;

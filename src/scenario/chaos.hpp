@@ -5,9 +5,9 @@
 // against injected application faults over a healthy diagnostic path.
 // This module re-runs the same archetype catalogue while a ChaosInjector
 // degrades the diagnostic virtual network (drop/corrupt), kills the
-// primary assessor's host mid-run and revives it later — exercising
-// heartbeats, retransmission, dedupe, staleness tracking, failover and
-// failback end to end. The headline numbers: hardened accuracy stays
+// host of overlay position 0 mid-run and revives it later — exercising
+// heartbeats, retransmission, dedupe, staleness tracking and tester
+// reassignment end to end. The headline numbers: hardened accuracy stays
 // close to the fault-free baseline, and a silenced agent is never
 // reported as verified-healthy.
 #pragma once
@@ -24,22 +24,21 @@ namespace decos::scenario {
 
 struct ChaosOptions {
   /// Diagnostic-path hardening on/off (the ablation flag): agents'
-  /// heartbeats/resends, the assessor's staleness/dedupe machinery, and
-  /// the service's assessor failover.
+  /// heartbeats/resends and the assessor's staleness/dedupe machinery.
   bool hardening = true;
   /// Diagnostic-channel degradation, active from t = 0: per-message drop
   /// and corruption probabilities on virtual network 0.
   double drop_prob = 0.10;
   double corrupt_prob = 0.05;
-  /// Kill the primary assessor's host mid-run (after fault onset) and
-  /// revive it before the end, forcing failover + reconciled failback.
+  /// Kill the assessor_host mid-run (after fault onset) and revive it
+  /// before the end: the overlay reassigns its testers both ways.
   bool kill_primary = true;
   bool revive_primary = true;
   sim::SimTime kill_at = sim::SimTime::zero() + sim::milliseconds(800);
   sim::SimTime revive_at = sim::SimTime::zero() + sim::milliseconds(2200);
   /// Cluster geometry: two components beyond the Fig. 10 five host the
-  /// primary and replica assessors, so archetype injections never touch
-  /// an assessor host and the kill is attributable to chaos alone.
+  /// two overlay positions, so archetype injections never touch an
+  /// assessor host and the kill is attributable to chaos alone.
   std::uint32_t components = 7;
   platform::ComponentId assessor_host = 5;
   platform::ComponentId replica_host = 6;
@@ -56,8 +55,6 @@ struct ChaosCampaignResult {
   std::size_t runs = 0;
   std::size_t correct = 0;
   // Diagnostic-path health totals, summed over all runs.
-  std::uint64_t failovers = 0;
-  std::uint64_t failbacks = 0;
   std::uint64_t symptom_gaps = 0;
   std::uint64_t duplicates_dropped = 0;
   std::uint64_t agent_drops_reported = 0;
@@ -68,7 +65,7 @@ struct ChaosCampaignResult {
   std::uint64_t chaos_corrupted = 0;
   /// Union of every run's metrics registry (counters add across runs), so
   /// the native diagnostic-path metrics — `diag.agent.retransmissions`,
-  /// `diag.assessor.symptom_gaps`, `diag.assessor.failovers`,
+  /// `diag.assessor.symptom_gaps`, `diag.hierarchy.recomputes`,
   /// `diag.evidence_staleness{fru=...}` — survive into bench exports.
   obs::Snapshot metrics;
   // Journey-completeness audit totals (provenance option only). Orphans
@@ -91,8 +88,8 @@ struct ChaosCampaignResult {
 };
 
 /// Runs every archetype across the seeds with the chaos treatment applied
-/// to each fresh rig. The diagnosis is taken from the *active* assessor,
-/// whichever that is after failover/failback.
+/// to each fresh rig. The diagnosis is taken from the composed service
+/// view, whichever position serves the subject.
 ///
 /// Like run_campaign, executes on the exec::ExperimentRunner: up to
 /// `jobs` parallel workers (0 = hardware concurrency), results — the

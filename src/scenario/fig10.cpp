@@ -151,7 +151,6 @@ Fig10System::Fig10System(Fig10Options opts)
   dp.assessor_host = opts_.assessor_host;
   dp.replica_hosts = opts_.assessor_replicas;
   dp.assessor = opts_.assessor;
-  dp.hierarchy = opts_.hierarchy;
   diag_ = std::make_unique<diag::DiagnosticService>(
       sys, std::move(specs), fault::SpatialLayout::linear(opts_.components), dp);
 

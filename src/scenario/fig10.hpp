@@ -42,14 +42,10 @@ struct Fig10Options {
   /// TMR vote agreement tolerance.
   double vote_epsilon = 1.0;
   platform::ComponentId assessor_host = 3;
-  /// Additional components hosting replica assessors.
+  /// Further assessor hosts: with them the assessors form a VCube overlay
+  /// (see diag/topology.hpp); alone, assessor_host is a one-position cube.
   std::vector<platform::ComponentId> assessor_replicas;
   diag::Assessor::Params assessor{};
-  /// Runs the diagnostic service in hierarchical overlay mode (the
-  /// assessor hosts form a VCube; see diag/topology.hpp). With a single
-  /// assessor host this is the degenerate one-position cube — the
-  /// equivalence tests compare it against the legacy path.
-  bool hierarchy = false;
   /// Arms causal provenance tracing (sim().provenance()) before any wiring,
   /// so every injected fault opens a journey. Off by default: the tracer's
   /// disabled mode is a single branch on the instrumented paths.

@@ -80,16 +80,14 @@ HierarchySystem::HierarchySystem(HierarchyOptions opts)
                      });
   }
 
-  // Every component is assessor-capable: host 0 is the nominal primary,
-  // all others are "replicas" — in hierarchy mode that just enumerates the
-  // overlay positions, there is no active/standby distinction.
+  // Every component is assessor-capable: component c hosts overlay
+  // position c.
   diag::DiagnosticService::Params dp;
   dp.assessor_host = 0;
   for (platform::ComponentId c = 1; c < opts_.components; ++c) {
     dp.replica_hosts.push_back(c);
   }
   dp.assessor = opts_.assessor;
-  dp.hierarchy = true;
   diag_ = std::make_unique<diag::DiagnosticService>(
       sys, std::move(specs), fault::SpatialLayout::linear(opts_.components),
       dp);

@@ -2,7 +2,7 @@
 // overlay (diag/topology.hpp), one diagnostic agent and one assessor per
 // component, application jobs in cross-component rings.
 //
-// This is the scenario the hierarchy mode exists for: clusters far beyond
+// This is the scenario the overlay exists for: clusters far beyond
 // the Fig. 10 five, where all-watch-all assessment (every assessor
 // ingesting every agent's stream) stops scaling. Here each FRU is watched
 // by its logarithmic tester set, agents unicast symptoms to the subject's

@@ -29,9 +29,9 @@ MaintenanceRun run_one(const Archetype& arch, std::uint64_t seed,
   // The run's subject is the first injected fault's FRU (multi-fault
   // archetypes like repeated EMI bursts all target the same FRU).
   const fault::InjectedFault& subject = rig.injector().ledger().front();
-  const diag::Assessor& assessor = rig.diag().assessor();
-  out.final_trust = subject.job ? assessor.job_trust(*subject.job)
-                                : assessor.component_trust(subject.component);
+  const diag::DiagnosticService& service = rig.diag();
+  out.final_trust = subject.job ? service.job_trust(*subject.job)
+                                : service.component_trust(subject.component);
   out.recovered = out.final_trust >= options.executor.verify_trust;
   out.repairs_attempted = executor.repairs_attempted();
   out.repairs_verified = executor.repairs_verified();

@@ -45,9 +45,8 @@ struct PointRun {
 /// judge with the convergence oracle. Discovery and armed runs share this
 /// one code path, so the counting run's tallies are exactly the
 /// occurrence space every armed run replays. The harvest diagnoses
-/// through the composed DiagnosticService accessors — pure reads, which
-/// delegate to the active assessor on the legacy rigs and compose the
-/// per-slice partial views on the hierarchy rig.
+/// through the composed DiagnosticService accessors — pure reads that
+/// compose the per-slice partial views of the overlay positions.
 template <class Rig>
 PointRun run_body(Rig& rig, const SweepOptions& opts,
                   std::optional<fault::FaultPoint> armed,
@@ -183,9 +182,10 @@ const char* to_string(SweepOptions::Rig rig) {
 
 platform::ComponentId sweep_victim(const SweepOptions& opts) {
   // Fig. 10: component 1 hosts jobs of several DASs — the integrated
-  // sharing the spatial judgement cares about. Chaos rig: the primary
-  // assessor's own host dies, so the diagnostic DAS must survive the
-  // fault it is diagnosing (failover, repair, debounced failback).
+  // sharing the spatial judgement cares about. Chaos rig: the host of
+  // overlay position 0 dies, so the diagnostic DAS must survive the
+  // fault it is diagnosing (tester reassignment, repair, reassignment
+  // back).
   // Hierarchy rig: the victim is overlay position 5 — killing it takes
   // out an assessor slice, so the oracle only passes if the overlay
   // self-heals (tester recomputation + composed partial views).

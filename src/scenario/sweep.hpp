@@ -42,8 +42,9 @@ struct SweepOptions {
   /// The enumerated rig. kFig10 is the paper's default five-component
   /// cluster with a single assessor (the acceptance target for full
   /// enumeration); kChaosRig is the seven-component cluster with a
-  /// replicated assessor whose host is the victim, so the failover and
-  /// failback sites become reachable. kHierarchy is the eight-component
+  /// two-position overlay whose position-0 host is the victim, so the
+  /// dissemination and tester-reassignment sites become reachable on a
+  /// small cube. kHierarchy is the eight-component
   /// VCube overlay (scenario/hierarchy.hpp) whose victim is itself an
   /// overlay position, so the dissemination sites (kDissemForward,
   /// kStaleVerdict, kTesterReassign) become reachable and the oracle

@@ -54,78 +54,105 @@ TEST(ChaosInjector, ChannelDegradationDropsOnlyDiagnosticTraffic) {
   EXPECT_GT(rig.tmr().votes, 100u);
 }
 
-TEST(AssessorFailover, PrimaryDeathPromotesReplicaAndRevivalFailsBack) {
+// The chaos rig's assessors form a two-position cube: position 0 on
+// host 5, position 1 on host 6. Both positions test every component.
+
+/// Every FRU's composed verdict, components first, then application jobs.
+std::vector<fault::FaultClass> composed_verdicts(scenario::Fig10System& rig) {
+  std::vector<fault::FaultClass> out;
+  for (platform::ComponentId c = 0; c < rig.options().components; ++c) {
+    out.push_back(rig.diag().diagnose_component(c).cls);
+  }
+  for (const platform::JobId j : rig.app_jobs()) {
+    out.push_back(rig.diag().diagnose_job(j).cls);
+  }
+  return out;
+}
+
+TEST(AssessorOverlay, PrimaryDeathReassignsTestersAndRevivalRestoresThem) {
   scenario::Fig10System rig(chaos_rig_options(11, true));
   fault::ChaosInjector storm(rig.sim(), rig.system());
   storm.kill_host(5, ms(800));
   rig.run(sim::seconds(1));
 
-  EXPECT_EQ(rig.diag().active_assessor(), 1u);
-  EXPECT_EQ(rig.diag().failovers(), 1u);
+  const diag::HierarchyTopology& topo = rig.diag().topology();
+  EXPECT_FALSE(topo.alive(0));
+  for (platform::ComponentId c = 0; c < 7; ++c) {
+    EXPECT_EQ(topo.testers(c), std::vector<std::uint32_t>{1}) << int(c);
+  }
 
   storm.revive_host(5, ms(1400));
   rig.run(sim::seconds(2));
-  EXPECT_EQ(rig.diag().active_assessor(), 0u);
-  EXPECT_EQ(rig.diag().failbacks(), 1u);
+  EXPECT_TRUE(topo.alive(0));
+  for (platform::ComponentId c = 0; c < 7; ++c) {
+    EXPECT_EQ(topo.testers(c).size(), 2u) << int(c);
+  }
+  EXPECT_EQ(topo.recomputes(), 2u);
 }
 
-TEST(AssessorFailover, FailoverHappensWithoutAnyQuery) {
-  // Nothing reads the diagnosis while the primary dies: the per-round
-  // hook alone promotes the replica, and the counter shows it.
+TEST(AssessorOverlay, ReassignmentHappensWithoutAnyQuery) {
+  // Nothing reads the diagnosis while position 0's host dies: the verdict
+  // pass alone recomputes the view, and the gauge shows it. The dead
+  // host's verdict then comes from the surviving position.
   scenario::Fig10System rig(chaos_rig_options(11, true));
   fault::ChaosInjector storm(rig.sim(), rig.system());
   storm.kill_host(5, ms(800));
-  rig.run(sim::seconds(1));
-  EXPECT_EQ(rig.diag().failovers(), 1u);
-  EXPECT_EQ(rig.diag().failbacks(), 0u);
+  rig.run(sim::seconds(2));
   const auto snap = rig.sim().metrics().snapshot();
-  const auto* failovers = snap.find("diag.assessor.failovers");
-  ASSERT_NE(failovers, nullptr);
-  EXPECT_EQ(failovers->counter, 1u);
+  const auto* recomputes = snap.find("diag.hierarchy.recomputes");
+  ASSERT_NE(recomputes, nullptr);
+  EXPECT_EQ(recomputes->gauge, 1.0);
+
+  diag::DiagnosticService& d = rig.diag();
+  EXPECT_LT(d.component_trust(5), 0.5);
+  EXPECT_EQ(d.component_trust(5), d.assessor(1).component_trust(5));
+  EXPECT_EQ(d.diagnose_component(5).cls,
+            d.assessor(1).diagnose_component(5).cls);
+  EXPECT_NE(d.diagnose_component(5).cls, fault::FaultClass::kNone);
+  // The dead position's frozen view never saw its own host go.
+  EXPECT_GT(d.assessor(0).component_trust(5), 0.9);
 }
 
-TEST(AssessorFailover, FailbackIsDebouncedAgainstFlappingPrimary) {
-  // The primary twitches back to life mid-outage for less than the
-  // failback hold (50 ms), then dies again before the hold expires. The
-  // debounce must swallow that flap: the replica keeps serving, and only
-  // the later durable revival reconciles — exactly one failover and
-  // exactly one failback over the whole episode.
-  scenario::Fig10System rig(chaos_rig_options(11, true));
-  fault::ChaosInjector storm(rig.sim(), rig.system());
-  storm.kill_host(5, ms(800));
-  storm.revive_host(5, ms(1400));   // back up for a moment...
-  storm.kill_host(5, ms(1445));     // ...but dead again inside the hold
-  storm.revive_host(5, ms(2000));   // the durable revival
-  rig.run(sim::seconds(4));
-
-  EXPECT_EQ(rig.diag().failovers(), 1u);
-  EXPECT_EQ(rig.diag().failbacks(), 1u);
-  EXPECT_EQ(rig.diag().active_assessor(), 0u);
-  // The settled state is stable: further report polls must not flap.
-  const auto before = rig.diag().failbacks();
-  (void)rig.diag().report();
-  (void)rig.diag().report();
-  EXPECT_EQ(rig.diag().failbacks(), before);
-  EXPECT_EQ(rig.diag().active_assessor(), 0u);
+TEST(AssessorOverlay, FlappingHostLeavesVerdictsUnchanged) {
+  // Position 0's host twitches back to life mid-outage for less than
+  // 50 ms, then dies again. The overlay follows each membership change,
+  // and no verdict differs from an outage without the flap.
+  auto run = [](bool flap) {
+    scenario::Fig10System rig(chaos_rig_options(11, true));
+    fault::ChaosInjector storm(rig.sim(), rig.system());
+    storm.kill_host(5, ms(800));
+    if (flap) {
+      storm.revive_host(5, ms(1400));  // back up for a moment...
+      storm.kill_host(5, ms(1445));    // ...but dead again within 50 ms
+    }
+    storm.revive_host(5, ms(2000));  // the durable revival
+    rig.run(sim::seconds(4));
+    EXPECT_TRUE(rig.diag().topology().alive(0));
+    return composed_verdicts(rig);
+  };
+  const auto steady = run(false);
+  EXPECT_EQ(run(true), steady);
+  EXPECT_NE(steady[5], fault::FaultClass::kNone);
 }
 
-TEST(AssessorFailover, ReplicaViewStaysCurrentThroughOutage) {
-  // A fault injected *while the primary is dead* must still be diagnosed:
-  // the replica heard the symptom multicast all along.
+TEST(AssessorOverlay, FaultDuringOutageIsDiagnosed) {
+  // A fault injected *while position 0 is dead* must still be diagnosed:
+  // position 1 tests every component of the two-position cube.
   scenario::Fig10System rig(chaos_rig_options(13, true));
   fault::ChaosInjector storm(rig.sim(), rig.system());
   storm.kill_host(5, ms(500));
   rig.injector().inject_permanent_failure(2, ms(900));
   rig.run(sim::seconds(4));
 
-  const auto d = rig.diag().assessor().diagnose_component(2);
-  EXPECT_EQ(d.cls, fault::FaultClass::kComponentInternal);
-  EXPECT_EQ(rig.diag().active_assessor(), 1u);
+  EXPECT_FALSE(rig.diag().topology().alive(0));
+  EXPECT_EQ(rig.diag().diagnose_component(2).cls,
+            fault::FaultClass::kComponentInternal);
 }
 
-TEST(AssessorFailover, FailbackReconcilesOutageEvidence) {
-  // Fault active only during the outage window; after failback the revived
-  // primary must know about it from reconciliation, not from observation.
+TEST(AssessorOverlay, OutageFaultStaysDiagnosedAfterRevival) {
+  // Fault injected during the outage; after the revival the composed
+  // verdict still convicts it. No state is merged into the revived
+  // position: the surviving tester never stopped testing.
   scenario::Fig10System rig(chaos_rig_options(17, true));
   fault::ChaosInjector storm(rig.sim(), rig.system());
   storm.kill_host(5, ms(500));
@@ -133,20 +160,10 @@ TEST(AssessorFailover, FailbackReconcilesOutageEvidence) {
   storm.revive_host(5, ms(2600));
   rig.run(sim::seconds(4));
 
-  EXPECT_EQ(rig.diag().active_assessor(), 0u);
-  EXPECT_EQ(rig.diag().failbacks(), 1u);
-  EXPECT_LT(rig.diag().assessor().component_trust(2), 0.5);
-  const auto d = rig.diag().assessor().diagnose_component(2);
-  EXPECT_EQ(d.cls, fault::FaultClass::kComponentInternal);
-}
-
-TEST(AssessorFailover, AblatedServiceStaysOnDeadPrimary) {
-  scenario::Fig10System rig(chaos_rig_options(19, false));
-  fault::ChaosInjector storm(rig.sim(), rig.system());
-  storm.kill_host(5, ms(800));
-  rig.run(sim::seconds(2));
-  EXPECT_EQ(rig.diag().active_assessor(), 0u);
-  EXPECT_EQ(rig.diag().failovers(), 0u);
+  EXPECT_TRUE(rig.diag().topology().alive(0));
+  EXPECT_LT(rig.diag().component_trust(2), 0.5);
+  EXPECT_EQ(rig.diag().diagnose_component(2).cls,
+            fault::FaultClass::kComponentInternal);
 }
 
 TEST(TmrRedundancy, LostReplicaAssertsExternalOnaOnItsHost) {
@@ -225,7 +242,7 @@ TEST(ChannelHardening, AblationSwitchReachesEveryAgent) {
 
 TEST(ChaosCampaign, HardenedAccuracyWithinTenPercentOfBaseline) {
   // Acceptance criterion: classification accuracy under the full chaos
-  // treatment (lossy diagnostic channel + assessor outage + failback)
+  // treatment (lossy diagnostic channel + assessor outage + revival)
   // within 10 percentage points of the fault-free baseline. One seed here
   // keeps the test fast; the bench sweeps more.
   const auto archetypes = scenario::standard_archetypes();
@@ -248,8 +265,6 @@ TEST(ChaosCampaign, HardenedAccuracyWithinTenPercentOfBaseline) {
   EXPECT_GE(chaotic.accuracy(), base_acc - 0.10);
 
   // The hardening machinery demonstrably worked for its living.
-  EXPECT_GT(chaotic.failovers, 0u);
-  EXPECT_GT(chaotic.failbacks, 0u);
   EXPECT_GT(chaotic.heartbeats_received, 0u);
   EXPECT_GT(chaotic.chaos_dropped, 0u);
   EXPECT_GT(chaotic.symptom_gaps, 0u);

@@ -219,8 +219,16 @@ TEST(ExperimentRunner, ParallelChaosCampaignMergesIdenticalSnapshot) {
   expect_same_confusion(serial.confusion, parallel.confusion);
   EXPECT_EQ(serial.runs, parallel.runs);
   EXPECT_EQ(serial.correct, parallel.correct);
-  EXPECT_EQ(serial.failovers, parallel.failovers);
-  EXPECT_EQ(serial.failbacks, parallel.failbacks);
+  for (const char* overlay :
+       {"diag.hierarchy.recomputes", "diag.hierarchy.symptoms_accepted",
+        "diag.hierarchy.deltas_emitted", "diag.hierarchy.deltas_accepted"}) {
+    const auto* s = serial.metrics.find(overlay);
+    const auto* p = parallel.metrics.find(overlay);
+    ASSERT_NE(s, nullptr) << overlay;
+    ASSERT_NE(p, nullptr) << overlay;
+    EXPECT_EQ(s->counter, p->counter) << overlay;
+    EXPECT_EQ(s->gauge, p->gauge) << overlay;
+  }
   EXPECT_EQ(serial.symptom_gaps, parallel.symptom_gaps);
   EXPECT_EQ(serial.duplicates_dropped, parallel.duplicates_dropped);
   EXPECT_EQ(serial.retransmissions, parallel.retransmissions);

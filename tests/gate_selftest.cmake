@@ -25,7 +25,7 @@ set(rules_bench_kernel_hotpath [=[{
   "allocs_per_round": {"max": 0}, "allocs_per_symptom": {"max_pct": 10}}]=])
 set(rules_bench_hierarchy_scaling [=[{
   "scale_convicted": {"abs": 0}, "kill_convicted": {"abs": 0},
-  "failovers": {"abs": 0}, "flagship_converged": {"abs": 0}, "frus": {"abs": 0},
+  "flagship_converged": {"abs": 0}, "frus": {"abs": 0},
   "msgs_per_round_8": {"min_pct": 15, "max_pct": 15},
   "msgs_per_round_16": {"min_pct": 15, "max_pct": 15},
   "msgs_per_round_32": {"min_pct": 15, "max_pct": 15},
@@ -145,8 +145,8 @@ foreach(bench bench_kernel_hotpath bench_hierarchy_scaling bench_bitfault
     endforeach()
   endforeach()
 endforeach()
-if(NOT rule_total EQUAL 30)
-  message(SEND_ERROR "expected 30 gated keys and fields in all, found ${rule_total}")
+if(NOT rule_total EQUAL 29)
+  message(SEND_ERROR "expected 29 gated keys and fields in all, found ${rule_total}")
 endif()
 
 # Malformed input, on the kernel hot-path baseline.

@@ -199,8 +199,8 @@ struct LoopRecord {
   obs::Snapshot metrics;
   std::string ndjson;
   std::vector<maintenance::WorkOrder> orders;
-  std::uint64_t failovers = 0;
-  std::uint64_t failbacks = 0;
+  std::uint64_t recomputes = 0;
+  diag::Assessor::HierarchyStats overlay;
 };
 
 /// A closed-loop run stepped one TDMA round at a time. With `operate` set,
@@ -220,8 +220,8 @@ LoopRecord run_loop(bool chaos, bool operate) {
   executor.start();
   std::optional<fault::ChaosInjector> storm;
   if (chaos) {
-    // The primary assessor's own host fails: failover, replacement,
-    // failback, all under a lossy diagnostic channel.
+    // Position 0's own host fails: tester reassignment, replacement and
+    // reassignment back, all under a lossy diagnostic channel.
     storm.emplace(rig.sim(), rig.system());
     storm->degrade_diagnostic_channel(0.10, 0.05, at_ms(0));
     rig.injector().inject_permanent_failure(5, at_ms(300));
@@ -237,7 +237,8 @@ LoopRecord run_loop(bool chaos, bool operate) {
     if (!operate) continue;
     (void)d.report();
     (void)d.assessor();
-    (void)d.active_assessor();
+    (void)d.topology();
+    (void)d.hierarchy_stats();
     for (platform::ComponentId c = 0; c < opts.components; ++c) {
       (void)d.diagnose_component(c);
       (void)d.component_trust(c);
@@ -254,14 +255,20 @@ LoopRecord run_loop(bool chaos, bool operate) {
   }
   return LoopRecord{rig.sim().metrics().snapshot(),
                     rig.sim().provenance().ndjson(), executor.work_orders(),
-                    d.failovers(), d.failbacks()};
+                    d.topology().recomputes(), d.hierarchy_stats()};
 }
 
 void expect_same_loop(const LoopRecord& quiet, const LoopRecord& queried) {
   expect_same_snapshot(quiet.metrics, queried.metrics);
   EXPECT_EQ(quiet.ndjson, queried.ndjson);
-  EXPECT_EQ(quiet.failovers, queried.failovers);
-  EXPECT_EQ(quiet.failbacks, queried.failbacks);
+  EXPECT_EQ(quiet.recomputes, queried.recomputes);
+  EXPECT_EQ(quiet.overlay.symptoms_accepted, queried.overlay.symptoms_accepted);
+  EXPECT_EQ(quiet.overlay.symptoms_filtered, queried.overlay.symptoms_filtered);
+  EXPECT_EQ(quiet.overlay.deltas_emitted, queried.overlay.deltas_emitted);
+  EXPECT_EQ(quiet.overlay.deltas_forwarded, queried.overlay.deltas_forwarded);
+  EXPECT_EQ(quiet.overlay.deltas_accepted, queried.overlay.deltas_accepted);
+  EXPECT_EQ(quiet.overlay.deltas_duplicate, queried.overlay.deltas_duplicate);
+  EXPECT_EQ(quiet.overlay.deltas_rejected, queried.overlay.deltas_rejected);
   ASSERT_EQ(quiet.orders.size(), queried.orders.size());
   for (std::size_t i = 0; i < quiet.orders.size(); ++i) {
     const maintenance::WorkOrder& a = quiet.orders[i];
@@ -284,7 +291,7 @@ TEST(VerdictPass, QueriesArePureReadsOnFig10Rig) {
 TEST(VerdictPass, QueriesArePureReadsOnChaosRig) {
   const LoopRecord quiet = run_loop(true, false);
   ASSERT_FALSE(quiet.orders.empty());
-  ASSERT_GE(quiet.failovers, 1u);
+  ASSERT_GE(quiet.recomputes, 1u);
   expect_same_loop(quiet, run_loop(true, true));
 }
 

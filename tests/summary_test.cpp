@@ -3,7 +3,7 @@
 // same store that never folded read identical features at every `now` —
 // including after a late observation behind the fold horizon (rebuild)
 // and a prune past it. The live checks run the same oracle on assessors
-// in a long closed-loop Fig. 10 run and across a chaos failover/failback.
+// in a long closed-loop Fig. 10 run and across a chaos assessor outage.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -275,9 +275,9 @@ TEST(SummaryLive, ClosedLoopArchetypeRunMatchesUnfolded) {
   EXPECT_GT(executor.work_orders().size(), 0u);
 }
 
-TEST(SummaryLive, ChaosFailoverAndFailbackMatchUnfolded) {
-  // Lossy diagnostic channel, primary killed and revived: the revived
-  // primary adopts the replica's store and summary on failback.
+TEST(SummaryLive, ChaosOutageAndRevivalMatchUnfolded) {
+  // Lossy diagnostic channel, position 0's host killed and revived: each
+  // position folds its own evidence across the outage.
   scenario::Fig10Options opts;
   opts.seed = 21;
   opts.components = 7;
@@ -294,9 +294,8 @@ TEST(SummaryLive, ChaosFailoverAndFailbackMatchUnfolded) {
                                 sim::milliseconds(10));
   rig.run(sim::seconds(5));
 
-  EXPECT_EQ(rig.diag().failovers(), 1u);
-  EXPECT_EQ(rig.diag().failbacks(), 1u);
-  EXPECT_EQ(rig.diag().active_assessor(), 0u);
+  // Death and revival, plus any flap while the revived clock reintegrates.
+  EXPECT_GE(rig.diag().topology().recomputes(), 2u);
   EXPECT_GT(rig.diag().assessor().summary().horizon(), 0u);
   EXPECT_GT(oracle::expect_folded_matches_unfolded(rig.diag().assessor(),
                                                    opts.components),

@@ -152,16 +152,19 @@ TEST(FaultSpaceSweep, ReplayMatchesTheSweptVerdict) {
   EXPECT_EQ(replayed, swept) << swept.replay_token();
 }
 
-TEST(FaultSpaceSweep, ChaosRigReachesFailoverSites) {
-  // The chaos rig's victim hosts the primary assessor, so the failover
-  // and failback decision sites must appear in its discovered space.
+TEST(FaultSpaceSweep, ChaosRigReachesDisseminationSites) {
+  // The chaos rig's victim hosts overlay position 0 of a two-position
+  // cube, so the verdict-dissemination and tester-reassignment sites must
+  // appear in its discovered space.
   scenario::SweepOptions opts;
   opts.rig = scenario::SweepOptions::Rig::kChaosRig;
   const auto d = scenario::discover_fault_space(opts);
-  EXPECT_GT(d.manifest.counts[static_cast<std::size_t>(
-                fault::FaultSite::kFailover)], 0u);
-  EXPECT_GT(d.manifest.counts[static_cast<std::size_t>(
-                fault::FaultSite::kFailback)], 0u);
+  for (const fault::FaultSite site :
+       {fault::FaultSite::kDissemForward, fault::FaultSite::kStaleVerdict,
+        fault::FaultSite::kTesterReassign}) {
+    EXPECT_GT(d.manifest.counts[static_cast<std::size_t>(site)], 0u)
+        << fault::to_string(site);
+  }
   EXPECT_TRUE(d.baseline.converged());
 }
 
