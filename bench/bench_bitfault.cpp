@@ -86,8 +86,9 @@ struct Sink : tta::BusReceiver {
   tta::NodeId id = 0;
   std::uint64_t bytes = 0;
   std::uint64_t crc_bad = 0;
-  void on_frame(const tta::Frame& f, sim::SimTime, bool crc_ok) override {
-    bytes += f.payload.size();
+  void on_frame(const tta::FrameHandle& f, sim::SimTime,
+                bool crc_ok) override {
+    bytes += f->payload.size();
     if (!crc_ok) ++crc_bad;
   }
   [[nodiscard]] tta::NodeId node_id() const override { return id; }

@@ -1,6 +1,7 @@
 // E18 — kernel hot-path microbenchmark: events/sec and allocations/event
 // through the discrete-event kernel, allocations/round through the vnet
-// mux spine (send -> drain -> pack -> unpack), and allocations/symptom
+// mux spine (send -> drain -> pack -> unpack) and through a bare 5-node
+// cluster (TDMA, clock sync, broadcast, decode), and allocations/symptom
 // through the diagnostic evidence ingest, measured with a counting
 // operator-new hook.
 //
@@ -23,6 +24,7 @@
 #include "diag/symptom.hpp"
 #include "alloc_counter.hpp"
 #include "obs/bench_io.hpp"
+#include "platform/system.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
@@ -158,6 +160,43 @@ SectionResult bench_mux_round(tta::RoundId rounds) {
   return res;
 }
 
+/// Bare cluster: a 5-node platform::System with no jobs (only the
+/// diagnostic vnet), the whole TDMA round — slot events, broadcast,
+/// judgement, clock sync, membership, pack and decode. Warmed up for 200
+/// rounds, then measured; the count is per TDMA round of node 0.
+SectionResult bench_cluster_round(std::uint64_t rounds) {
+  constexpr std::uint32_t kNodes = 5;
+  const sim::Duration slot = sim::microseconds(500);
+  sim::Simulator s(7);
+  platform::System::Params p;
+  p.cluster.node_count = kNodes;
+  p.cluster.tdma.slot_length = slot;
+  p.cluster.drift_bound_ppm = 40.0;
+  platform::System sys(s, p);
+  sys.finalize();
+  sys.start();
+  const sim::Duration round = slot * kNodes;
+  s.run_until(s.now() + round * 200);  // warm-up
+
+  tta::TtaNode& node = sys.cluster().node(0);
+  const auto r0 = node.current_round();
+  const auto a0 = bench::allocations();
+  const auto w0 = std::chrono::steady_clock::now();
+  s.run_until(s.now() + round * static_cast<std::int64_t>(rounds));
+  const auto w1 = std::chrono::steady_clock::now();
+  const auto allocs = bench::allocations() - a0;
+  const auto n = static_cast<double>(node.current_round() - r0);
+  const double wall = std::chrono::duration<double>(w1 - w0).count();
+
+  SectionResult res;
+  res.per_sec = n / wall;
+  res.allocs_per_unit = static_cast<double>(allocs) / n;
+  std::printf("cluster_round: rounds=%.0f rounds_per_sec=%.3g "
+              "allocs_per_round=%.2f\n",
+              n, res.per_sec, res.allocs_per_unit);
+  return res;
+}
+
 /// Diag ingest path: the evidence store consuming a steady symptom stream
 /// (transport verdicts about a rotating set of senders, plus job-level
 /// value/gap symptoms), pruned to a bounded window as a real assessor
@@ -230,12 +269,14 @@ int main(int argc, char** argv) {
 
   const SectionResult sched = bench_scheduling(quick ? 1 : 10);
   const SectionResult mux = bench_mux_round(quick ? 20'000 : 200'000);
+  const SectionResult cluster = bench_cluster_round(quick ? 2'000 : 20'000);
   const SectionResult ingest = bench_diag_ingest(quick ? 20'000 : 200'000);
 
   reporter.set_info("events_per_sec", sched.per_sec);
   reporter.set_info("allocs_per_event", sched.allocs_per_unit);
   reporter.set_info("rounds_per_sec", mux.per_sec);
   reporter.set_info("allocs_per_round", mux.allocs_per_unit);
+  reporter.set_info("cluster_allocs_per_round", cluster.allocs_per_unit);
   reporter.set_info("symptoms_per_sec", ingest.per_sec);
   reporter.set_info("allocs_per_symptom", ingest.allocs_per_unit);
   return reporter.finish();

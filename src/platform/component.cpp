@@ -5,8 +5,12 @@
 namespace decos::platform {
 
 Component::Component(sim::Simulator& sim, tta::TtaNode& node,
-                     const vnet::NetworkPlan& plan)
-    : sim_(sim), node_(node), plan_(plan), mux_(plan, node.node_id()) {
+                     const vnet::NetworkPlan& plan, DecodeCache& decode_cache)
+    : sim_(sim),
+      node_(node),
+      plan_(plan),
+      decode_cache_(decode_cache),
+      mux_(plan, node.node_id()) {
   mux_.bind_metrics(sim_.metrics());
 }
 
@@ -29,12 +33,11 @@ void Component::bind() {
                                   std::vector<std::uint8_t>& out) {
     build_payload(round, out);
   };
-  node_.delivery_handler = [this](tta::NodeId, const std::vector<std::uint8_t>& payload,
-                                  tta::RoundId) {
-    mux_.unpack_arrival(payload, arrival_scratch_);
-    for (const vnet::Message& m : arrival_scratch_) {
-      route_local(m);
-    }
+  node_.delivery_handler = [this](tta::NodeId,
+                                  const std::vector<std::uint8_t>& payload,
+                                  tta::RoundId, std::uint64_t stamp) {
+    decode_cache_.for_each(stamp, payload,
+                           [this](const vnet::Message& m) { route_local(m); });
   };
 }
 

@@ -13,23 +13,60 @@
 // correlation signature Fig. 10's judgement relies on.
 #pragma once
 
+#include <cassert>
+#include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "platform/job.hpp"
 #include "platform/types.hpp"
 #include "sim/simulator.hpp"
 #include "tta/node.hpp"
+#include "vnet/message.hpp"
 #include "vnet/multiplexer.hpp"
 #include "vnet/network_plan.hpp"
 
 namespace decos::platform {
 
+/// The vnet decode of the last payload a component of one cluster judged
+/// correct, shared by all of them. Every receiver of an unmodified
+/// broadcast sees the same payload stamp (tta::FrameHandle::stamp), so
+/// the first component to close that slot decodes the bytes and the
+/// others reuse the messages: one decode per distinct content instead of
+/// one per receiver. The messages are read-only; route_local copies one
+/// before a delivery_mutator touches it.
+class DecodeCache {
+ public:
+  /// Calls `fn` on each message of `payload`, whose content identity is
+  /// `stamp`, decoding only when `stamp` is not the last one decoded. A
+  /// malformed payload yields no message. `fn` must not deliver another
+  /// payload through this cache.
+  template <typename Fn>
+  void for_each(std::uint64_t stamp, std::span<const std::uint8_t> payload,
+                Fn&& fn) {
+    assert(!iterating_ && "a delivery re-entered the decode cache");
+    if (stamp != stamp_) {
+      vnet::unpack_into(payload, messages_);  // empty when malformed
+      stamp_ = stamp;
+    }
+    iterating_ = true;
+    for (const vnet::Message& m : messages_) fn(m);
+    iterating_ = false;
+  }
+
+ private:
+  std::uint64_t stamp_ = 0;  // none decoded yet: pool stamps start at 1
+  std::vector<vnet::Message> messages_;
+  bool iterating_ = false;
+};
+
 class Component {
  public:
+  /// `decode_cache` is shared by every component of the cluster.
   Component(sim::Simulator& sim, tta::TtaNode& node,
-            const vnet::NetworkPlan& plan);
+            const vnet::NetworkPlan& plan, DecodeCache& decode_cache);
 
   /// Registers a job as hosted here (its partition). Jobs dispatch in
   /// ascending JobId order within a round.
@@ -79,16 +116,16 @@ class Component {
   sim::Simulator& sim_;
   tta::TtaNode& node_;
   const vnet::NetworkPlan& plan_;
+  DecodeCache& decode_cache_;
   vnet::Multiplexer mux_;
   std::map<JobId, Job*> jobs_;  // ordered: deterministic dispatch order
   /// Per-port list of *hosted* receiver jobs, precomputed in bind(): the
   /// delivery hot path walks exactly the jobs it will deliver to, instead
   /// of probing the job map once per configured receiver per message.
   std::vector<std::vector<Job*>> local_receivers_;
-  /// Round-scratch buffers: cleared every use, capacity kept, so the
+  /// Round-scratch buffer: cleared every use, capacity kept, so the
   /// steady-state TDMA round allocates nothing on this component.
   std::vector<vnet::Message> drain_scratch_;
-  std::vector<vnet::Message> arrival_scratch_;
 };
 
 }  // namespace decos::platform

@@ -9,7 +9,8 @@ System::System(sim::Simulator& sim, Params params)
   components_.reserve(cluster_.size());
   for (ComponentId c = 0; c < cluster_.size(); ++c) {
     components_.push_back(
-        std::make_unique<Component>(sim_, cluster_.node(c), plan_));
+        std::make_unique<Component>(sim_, cluster_.node(c), plan_,
+                                    decode_cache_));
   }
   // Vnet 0: the reserved virtual diagnostic network.
   plan_.add_vnet(vnet::VnetConfig{

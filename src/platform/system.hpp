@@ -82,6 +82,8 @@ class System {
   sim::Simulator& sim_;
   tta::Cluster cluster_;
   vnet::NetworkPlan plan_;
+  /// One decode per distinct payload for all components (DecodeCache).
+  DecodeCache decode_cache_;
   std::vector<std::unique_ptr<Component>> components_;
   std::vector<std::unique_ptr<Job>> jobs_;
   std::vector<DasInfo> dases_;

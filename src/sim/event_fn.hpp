@@ -61,10 +61,10 @@ class SpillArena {
 class EventFn {
  public:
   /// Inline capture budget. Covers every closure on the simulation hot
-  /// path (slot chains and timer ticks capture well under this; a bus
-  /// frame delivery fills it exactly, checked by a static_assert in
-  /// Bus::transmit); bigger closures still work, they just spill to the
-  /// arena.
+  /// path (slot chains, timer ticks and the bus's broadcast event all
+  /// capture well under this; a static_assert in Bus::transmit keeps the
+  /// broadcast inside it); bigger closures still work, they just spill to
+  /// the arena.
   static constexpr std::size_t kInlineCapacity = 48;
 
   EventFn() = default;

@@ -91,7 +91,16 @@ bool Bus::transmit(NodeId sender, const Frame& frame) {
   // shared), so its CRC verdict is computed once for every receiver.
   const bool master_crc_ok = master->crc_ok();
 
-  const sim::SimTime arrival = now + params_.propagation_delay;
+  // The deliveries go into one pooled record, handed over by one event.
+  std::uint32_t idx = 0;
+  if (free_broadcasts_.empty()) {
+    idx = static_cast<std::uint32_t>(broadcasts_.size());
+    broadcasts_.emplace_back();
+  } else {
+    idx = free_broadcasts_.back();
+    free_broadcasts_.pop_back();
+  }
+  Broadcast& record = broadcasts_[idx];
   for (BusReceiver* rx : receivers_) {
     if (rx->node_id() == sender) continue;  // no self-reception
     // Channel faults stay receiver-local: the delivery reads the shared
@@ -112,19 +121,28 @@ bool Bus::transmit(NodeId sender, const Frame& frame) {
     // A privatized delivery carries its own (corrupted) bytes and gets
     // its own check; a hook may also have written the same bytes back.
     const bool crc_ok = d.privatized() ? d.frame().crc_ok() : master_crc_ok;
-    // The handle pins both the slot and the pool, so a delivery queued at
-    // teardown outlives the bus safely.
-    auto on_arrival = [rx, h = d.take(), arrival, crc_ok]() {
-      rx->on_frame(*h, arrival, crc_ok);
-    };
-    // The broadcast path allocates nothing only while this closure fits
-    // the event's inline storage (E22).
-    static_assert(sizeof(on_arrival) <= sim::EventFn::kInlineCapacity &&
-                  std::is_nothrow_move_constructible_v<decltype(on_arrival)>);
-    sim_.schedule_at(arrival, std::move(on_arrival),
-                     sim::EventPriority::kTransport);
+    record.push_back(Entry{rx, d.take(), crc_ok});
   }
+  if (record.empty()) {
+    free_broadcasts_.push_back(idx);
+    return true;
+  }
+
+  const sim::SimTime arrival = now + params_.propagation_delay;
+  auto on_arrival = [this, idx, arrival]() { deliver(idx, arrival); };
+  // The broadcast path allocates nothing only while this closure fits
+  // the event's inline storage (E22).
+  static_assert(sizeof(on_arrival) <= sim::EventFn::kInlineCapacity &&
+                std::is_nothrow_move_constructible_v<decltype(on_arrival)>);
+  sim_.schedule_at(arrival, on_arrival, sim::EventPriority::kTransport);
   return true;
+}
+
+void Bus::deliver(std::uint32_t idx, sim::SimTime arrival) {
+  Broadcast& record = broadcasts_[idx];
+  for (const Entry& e : record) e.rx->on_frame(e.frame, arrival, e.crc_ok);
+  record.clear();  // releases the handles; the capacity stays
+  free_broadcasts_.push_back(idx);
 }
 
 std::uint64_t Bus::add_channel_fault(ChannelFaultHook hook) {

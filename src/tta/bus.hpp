@@ -17,6 +17,12 @@
 // corrupts a delivery (copy-on-corrupt), so the fault-free broadcast path
 // allocates and copies nothing per receiver (E22).
 //
+// A transmission is one kernel event, not one per receiver: the bus
+// records each surviving delivery in a pooled broadcast record and a
+// single event at the arrival instant hands them to the receivers in
+// attach order. DESIGN.md §16 argues why that order of calls is the order
+// the per-receiver events had.
+//
 // The CRC verdict travels with the delivery. The bus checks the master
 // frame once, after the sender-side hooks ran and before it is shared, and
 // every receiver of the shared bytes gets that verdict; only a delivery a
@@ -25,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -41,10 +48,12 @@ namespace decos::tta {
 class BusReceiver {
  public:
   virtual ~BusReceiver() = default;
-  /// Delivery of a frame (possibly corrupted by the channel). The
-  /// reference is only valid for the duration of the call. `crc_ok` is
-  /// `frame.crc_ok()` as the bus computed it for these exact bytes.
-  virtual void on_frame(const Frame& frame, sim::SimTime arrival,
+  /// Delivery of a frame (possibly corrupted by the channel). The handle
+  /// may be shared with other receivers; copy it to keep the frame past
+  /// the call, and privatise it (FramePool::acquire_copy) before changing
+  /// any byte. `crc_ok` is `frame->crc_ok()` as the bus computed it for
+  /// these exact bytes.
+  virtual void on_frame(const FrameHandle& frame, sim::SimTime arrival,
                         bool crc_ok) = 0;
   [[nodiscard]] virtual NodeId node_id() const = 0;
 };
@@ -117,7 +126,8 @@ class Bus {
   /// Transmission attempt by `sender` starting at the current instant.
   /// Returns false if the guardian blocked it. The frame is copied once
   /// into the pool and shared by every receiver; channel faults stay
-  /// receiver-local via copy-on-corrupt (see Delivery).
+  /// receiver-local via copy-on-corrupt (see Delivery). The deliveries
+  /// arrive as one event after the propagation delay.
   bool transmit(NodeId sender, const Frame& frame);
 
   /// Installs a channel fault hook; returns an id for removal.
@@ -144,11 +154,30 @@ class Bus {
   std::function<void(NodeId sender, sim::SimTime when)> on_blocked;
 
  private:
+  /// One receiver's share of a transmission.
+  struct Entry {
+    BusReceiver* rx;
+    FrameHandle frame;
+    bool crc_ok;
+  };
+  /// The deliveries of one transmission, in attach order. Records recycle
+  /// through `free_broadcasts_` with their entry capacity kept, so the
+  /// steady-state broadcast path allocates nothing.
+  using Broadcast = std::vector<Entry>;
+
+  /// The broadcast event: hands record `idx` to its receivers, then
+  /// releases its handles and recycles the record.
+  void deliver(std::uint32_t idx, sim::SimTime arrival);
+
   sim::Simulator& sim_;
   TdmaSchedule schedule_;
   Params params_;
   std::vector<BusReceiver*> receivers_;
   std::shared_ptr<FramePool> pool_;
+  /// Deque: a receiver that transmits from inside on_frame adds a record
+  /// without moving the one being delivered.
+  std::deque<Broadcast> broadcasts_;
+  std::vector<std::uint32_t> free_broadcasts_;
   std::vector<std::pair<std::uint64_t, ChannelFaultHook>> fault_hooks_;
   std::vector<std::pair<std::uint64_t, TxFaultHook>> tx_hooks_;
   std::uint64_t next_hook_id_ = 1;

@@ -6,18 +6,23 @@
 // faults could stay receiver-local — N-1 payload copies (and, before the
 // kernel rewrite, N-1 heap allocations) per round for a property that is
 // only needed in the rare instant a fault fires. The pool inverts that:
-// the master frame is copied exactly once into a slab slot, every
-// delivery event holds an intrusive ref-counted handle to that slot, and
-// a receiver whose channel fault mutates the bytes gets its own private
-// slot at that moment. Slots recycle through a free list with their
-// payload capacity intact, so the steady-state transmit path allocates
-// nothing (E22).
+// the master frame is copied exactly once into a slab slot, the bus's
+// broadcast record and every receiving node hold an intrusive ref-counted
+// handle to that slot, and a receiver whose fault mutates the bytes gets
+// its own private slot at that moment. Slots recycle through a free list
+// with their payload capacity intact, so the steady-state transmit path
+// allocates nothing (E22).
 //
-// Handles also pin the pool itself (shared_ptr), so a delivery event that
-// is still queued when the cluster is torn down destroys its handle
-// safely regardless of destruction order.
+// Every acquire stamps its slot with a fresh number. Bytes are frozen once
+// shared, so equal stamps mean equal bytes; a decoder can key a cache on
+// the stamp where a slot index would not do, because slots recycle.
+//
+// Handles also pin the pool itself (shared_ptr), so a handle that is
+// still held when the cluster is torn down is destroyed safely regardless
+// of destruction order.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -49,6 +54,10 @@ class FrameHandle {
   /// corrupt path must privatize first, never scribble on a shared slot.
   [[nodiscard]] Frame& mutate();
 
+  /// Content identity: the number FramePool::acquire gave this slot's
+  /// bytes. Unique per acquire within one pool, never reused.
+  [[nodiscard]] std::uint64_t stamp() const;
+
   /// True when no other handle shares the slot.
   [[nodiscard]] bool unique() const;
 
@@ -71,9 +80,9 @@ class FramePool : public std::enable_shared_from_this<FramePool> {
   [[nodiscard]] static std::shared_ptr<FramePool> create(
       std::size_t soft_cap = 256);
 
-  /// Copies `src` into a recycled (or new) slot and returns the owning
-  /// handle. Steady state: free-list pop + field copy + payload byte copy
-  /// into retained capacity — no allocation.
+  /// Copies `src` into a recycled (or new) slot under a fresh stamp and
+  /// returns the owning handle. Steady state: free-list pop + field copy +
+  /// payload byte copy into retained capacity — no allocation.
   [[nodiscard]] FrameHandle acquire(const Frame& src);
 
   /// Copy-on-corrupt: clones the frame behind `shared` into a private
@@ -100,6 +109,7 @@ class FramePool : public std::enable_shared_from_this<FramePool> {
   struct Slot {
     Frame frame;
     std::uint32_t refs = 0;
+    std::uint64_t stamp = 0;
   };
 
   void add_ref(std::uint32_t slot) { ++slots_[slot]->refs; }
@@ -109,6 +119,7 @@ class FramePool : public std::enable_shared_from_this<FramePool> {
   std::size_t in_use_ = 0;
   std::uint64_t fallback_acquires_ = 0;
   std::uint64_t corrupt_copies_ = 0;
+  std::uint64_t last_stamp_ = 0;  // stamps start at 1
   /// Stable addresses: handles cache nothing, but Frame payload capacity
   /// must survive free-list recycling.
   std::vector<std::unique_ptr<Slot>> slots_;
@@ -155,7 +166,14 @@ inline const Frame& FrameHandle::operator*() const {
   return pool_->slots_[slot_]->frame;
 }
 
-inline Frame& FrameHandle::mutate() { return pool_->slots_[slot_]->frame; }
+inline Frame& FrameHandle::mutate() {
+  assert(unique() && "mutating a shared frame; privatise it first");
+  return pool_->slots_[slot_]->frame;
+}
+
+inline std::uint64_t FrameHandle::stamp() const {
+  return pool_->slots_[slot_]->stamp;
+}
 
 inline bool FrameHandle::unique() const {
   return pool_ != nullptr && pool_->slots_[slot_]->refs == 1;

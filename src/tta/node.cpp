@@ -75,7 +75,7 @@ void TtaNode::restart() {
   // wedged (in_sync_ set but no chain scheduled), and a double restart
   // could race two chains.
   ++chain_epoch_;
-  pending_valid_ = false;
+  pending_.frame.reset();
   in_sync_ = true;
   rounds_without_sync_ = 0;
   listen_rounds_left_ = 0;
@@ -165,8 +165,9 @@ bool TtaNode::attempt_transmit_now() {
   return bus_.transmit(params_.id, frame);
 }
 
-void TtaNode::on_frame(const Frame& frame, sim::SimTime arrival,
+void TtaNode::on_frame(const FrameHandle& handle, sim::SimTime arrival,
                        bool crc_ok) {
+  const Frame& frame = *handle;
   if (faults_.rx_drop_prob > 0.0 && rng_.bernoulli(faults_.rx_drop_prob)) return;
 
   ++frames_heard_this_round_;
@@ -201,31 +202,35 @@ void TtaNode::on_frame(const Frame& frame, sim::SimTime arrival,
 
   // Keep the first frame of the open slot; a second arrival in the same
   // slot would collide on a real bus — modelling "first wins" keeps the
-  // judgement deterministic. The copy lands in the reused pending buffer
-  // (payload capacity retained), so the delivery path allocates nothing.
-  if (!pending_valid_) {
-    pending_.frame = frame;
-    pending_.crc_ok = crc_ok;
+  // judgement deterministic. The node shares the bus's frame; only its own
+  // receiver-stage corruption privatises a pooled copy to flip.
+  if (!pending_.frame) {
     if (rx_corrupt) {
-      pending_.frame.payload[rx_corrupt_idx] ^= 0x5A;
-      pending_.crc_ok = pending_.frame.crc_ok();
+      pending_.frame = bus_.frame_pool()->acquire_copy(handle);
+      Frame& copy = pending_.frame.mutate();
+      copy.payload[rx_corrupt_idx] ^= 0x5A;
+      pending_.crc_ok = copy.crc_ok();
+    } else {
+      pending_.frame = handle;
+      pending_.crc_ok = crc_ok;
     }
     pending_.arrival_offset = offset;
     pending_.timely = timely;
-    pending_valid_ = true;
   }
 }
 
 void TtaNode::close_slot(RoundId round, SlotId slot) {
   const auto& sched = bus_.schedule();
   const NodeId owner = sched.slot_owner(slot);
+  // The open slot's arrival, taken out of pending_ so the slot closes
+  // empty; its frame handle is released when this judgement ends.
+  const Pending p = std::move(pending_);
 
   if (owner == params_.id) {
     // Own slot: believe in ourselves if we were able to transmit.
     if (!faults_.fail_silent && in_sync_ && listen_rounds_left_ == 0) {
       next_membership_ |= std::uint64_t{1} << params_.id;
     }
-    pending_valid_ = false;
   } else {
     SlotObservation obs;
     obs.observer = params_.id;
@@ -233,14 +238,14 @@ void TtaNode::close_slot(RoundId round, SlotId slot) {
     obs.slot = slot;
     obs.round = round;
 
-    if (!pending_valid_) {
+    if (!p.frame) {
       obs.verdict = SlotVerdict::kOmission;
       slots_omission_metric_.inc();
     } else {
-      const Pending& p = pending_;
+      const Frame& f = *p.frame;
       obs.arrival_offset = p.arrival_offset;
-      const bool slot_matches = p.frame.sender == owner && p.frame.slot == slot &&
-                                p.frame.round == round;
+      const bool slot_matches =
+          f.sender == owner && f.slot == slot && f.round == round;
       if (!p.timely || !slot_matches) {
         obs.verdict = SlotVerdict::kTimingError;
         slots_timing_metric_.inc();
@@ -252,11 +257,12 @@ void TtaNode::close_slot(RoundId round, SlotId slot) {
         slots_correct_metric_.inc();
         sync_.record(owner, p.arrival_offset);
         next_membership_ |= std::uint64_t{1} << owner;
-        if (delivery_handler) delivery_handler(owner, p.frame.payload, round);
+        if (delivery_handler) {
+          delivery_handler(owner, f.payload, round, p.frame.stamp());
+        }
       }
     }
     if (observation_sink) observation_sink(obs);
-    pending_valid_ = false;
   }
 
   const std::uint32_t slots = sched.params().slots_per_round;
@@ -318,7 +324,7 @@ void TtaNode::reintegrate(const Frame& frame, sim::SimTime arrival) {
   // Abandon the drifted slot chain and restart it at the next boundary of
   // the cluster's schedule, listen-only for a few rounds.
   ++chain_epoch_;
-  pending_valid_ = false;
+  pending_.frame.reset();
   in_sync_ = true;
   rounds_without_sync_ = 0;
   listen_rounds_left_ = params_.reintegration_listen_rounds;

@@ -67,7 +67,7 @@ class TtaNode final : public BusReceiver {
   TtaNode(sim::Simulator& sim, Bus& bus, Params params);
 
   // BusReceiver
-  void on_frame(const Frame& frame, sim::SimTime arrival,
+  void on_frame(const FrameHandle& frame, sim::SimTime arrival,
                 bool crc_ok) override;
   [[nodiscard]] NodeId node_id() const override { return params_.id; }
 
@@ -108,8 +108,11 @@ class TtaNode final : public BusReceiver {
   std::function<void(RoundId r, std::vector<std::uint8_t>& out)>
       payload_provider;
   /// Called for every correct frame (after CRC and timing checks).
+  /// `stamp` identifies the payload's bytes (FrameHandle::stamp): every
+  /// receiver of one unmodified broadcast sees the same stamp, so a
+  /// decoder may reuse its result for an equal stamp.
   std::function<void(NodeId sender, const std::vector<std::uint8_t>& payload,
-                     RoundId round)> delivery_handler;
+                     RoundId round, std::uint64_t stamp)> delivery_handler;
   /// Called for every slot verdict this node produces about another node.
   std::function<void(const SlotObservation&)> observation_sink;
   /// Called at each round boundary with the fresh membership vector.
@@ -159,12 +162,11 @@ class TtaNode final : public BusReceiver {
   std::uint64_t membership_ = 0;
   std::uint64_t next_membership_ = 0;
 
-  /// Frame received in the currently open slot, if any. The struct is
-  /// reused across slots (payload capacity retained) so storing an
-  /// arrival copies bytes without allocating; `pending_valid_` plays the
-  /// role the old std::optional did.
+  /// Frame received in the currently open slot, if any (`frame` empty
+  /// otherwise). It shares the bus's pooled frame; only a receiver-stage
+  /// corruption privatises a copy. close_slot releases it.
   struct Pending {
-    Frame frame;
+    FrameHandle frame;
     sim::Duration arrival_offset;
     bool timely = false;
     /// CRC verdict of `frame` as stored: the bus's verdict, or a fresh
@@ -172,7 +174,6 @@ class TtaNode final : public BusReceiver {
     bool crc_ok = false;
   };
   Pending pending_;
-  bool pending_valid_ = false;
 
   /// Scratch frame reused across transmissions: its payload buffer keeps
   /// its capacity, so do_transmit allocates nothing in steady state.

@@ -3,14 +3,15 @@
 namespace decos::vnet {
 namespace {
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
+// Little-endian stores into a buffer already sized for the record.
+void put_u16(std::uint8_t* at, std::uint16_t v) {
+  at[0] = static_cast<std::uint8_t>(v & 0xFF);
+  at[1] = static_cast<std::uint8_t>(v >> 8);
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
+void put_u32(std::uint8_t* at, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
+    at[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF);
   }
 }
 
@@ -31,22 +32,25 @@ std::uint32_t get_u32(std::span<const std::uint8_t> in, std::size_t at) {
 
 void pack_into(const std::vector<Message>& msgs, tta::RoundId round,
                std::vector<std::uint8_t>& out) {
-  out.clear();
-  out.reserve(2 + msgs.size() * kWireRecordSize);
-  put_u16(out, static_cast<std::uint16_t>(msgs.size()));
+  // Sized once; every byte below is written, so no clear() is needed.
+  out.resize(2 + msgs.size() * kWireRecordSize);
+  std::uint8_t* at = out.data();
+  put_u16(at, static_cast<std::uint16_t>(msgs.size()));
+  at += 2;
   for (const Message& m : msgs) {
-    put_u16(out, m.vnet);
-    put_u16(out, m.port);
-    put_u16(out, m.sender);
-    out.push_back(m.kind);
-    out.push_back(0);  // reserved / alignment
-    put_u32(out, m.seq);
+    put_u16(at, m.vnet);
+    put_u16(at + 2, m.port);
+    put_u16(at + 4, m.sender);
+    at[6] = m.kind;
+    at[7] = 0;  // reserved / alignment
+    put_u32(at + 8, m.seq);
     std::uint64_t bits;
     std::memcpy(&bits, &m.value, sizeof bits);
-    put_u32(out, static_cast<std::uint32_t>(bits & 0xFFFFFFFFu));
-    put_u32(out, static_cast<std::uint32_t>(bits >> 32));
-    put_u32(out, static_cast<std::uint32_t>(m.sent_round & 0xFFFFFFFFu));
-    put_u32(out, m.aux);
+    put_u32(at + 12, static_cast<std::uint32_t>(bits & 0xFFFFFFFFu));
+    put_u32(at + 16, static_cast<std::uint32_t>(bits >> 32));
+    put_u32(at + 20, static_cast<std::uint32_t>(m.sent_round & 0xFFFFFFFFu));
+    put_u32(at + 24, m.aux);
+    at += kWireRecordSize;
   }
   (void)round;
 }

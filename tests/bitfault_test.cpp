@@ -182,6 +182,28 @@ TEST(FramePool, RefcountsReturnToSteadyState) {
   EXPECT_EQ(pool->fallback_acquires(), 0u);
 }
 
+TEST(FramePool, StampIsFreshOnEveryAcquire) {
+  auto pool = tta::FramePool::create(4);
+  tta::Frame f;
+  f.payload = {5, 6};
+  f.seal();
+  tta::FrameHandle a = pool->acquire(f);
+  const std::uint64_t first = a.stamp();
+  tta::FrameHandle shared = a;
+  EXPECT_EQ(shared.stamp(), first);  // a shared handle names the same bytes
+  const tta::FrameHandle copy = pool->acquire_copy(a);
+  EXPECT_NE(copy.stamp(), first);    // a private copy is new content
+  a.reset();
+  shared.reset();
+  // The recycled slot holds new content under a new stamp, so a cache
+  // keyed on the stamp cannot mistake it for the bytes it held before.
+  const std::size_t slots = pool->slots();
+  const tta::FrameHandle again = pool->acquire(f);
+  EXPECT_EQ(pool->slots(), slots);
+  EXPECT_NE(again.stamp(), first);
+  EXPECT_NE(again.stamp(), copy.stamp());
+}
+
 TEST(FramePool, SoftCapFallbackIsCounted) {
   auto pool = tta::FramePool::create(2);
   tta::Frame f;
@@ -202,8 +224,9 @@ struct RecordingSink : tta::BusReceiver {
   tta::NodeId id = 0;
   std::uint64_t frames = 0;
   std::uint64_t crc_bad = 0;
-  void on_frame(const tta::Frame& f, sim::SimTime, bool crc_ok) override {
-    EXPECT_EQ(crc_ok, f.crc_ok()) << "receiver " << id << " round " << f.round;
+  void on_frame(const tta::FrameHandle& f, sim::SimTime,
+                bool crc_ok) override {
+    EXPECT_EQ(crc_ok, f->crc_ok()) << "receiver " << id << " round " << f->round;
     ++frames;
     if (!crc_ok) ++crc_bad;
   }
@@ -307,6 +330,78 @@ TEST(Bus, PrivatizedDeliveryIsCheckedNotAssumedBad) {
     EXPECT_EQ(rig.sinks[n].crc_bad, 0u) << "receiver " << n;
   }
   EXPECT_EQ(rig.bus.frame_pool()->corrupt_copies(), 10u * (kNodes - 1));
+}
+
+// --- one broadcast event per transmission ---------------------------------
+
+/// Appends its id to a shared log on every delivery.
+struct OrderSink : tta::BusReceiver {
+  tta::NodeId id = 0;
+  std::vector<tta::NodeId>* log = nullptr;
+  void on_frame(const tta::FrameHandle&, sim::SimTime, bool) override {
+    log->push_back(id);
+  }
+  [[nodiscard]] tta::NodeId node_id() const override { return id; }
+};
+
+/// A raw bus whose receivers are attached in a scrambled id order.
+struct OrderBus {
+  sim::Simulator s{5};
+  tta::TdmaSchedule sched{tta::TdmaSchedule::Params{
+      .slots_per_round = 5, .slot_length = sim::microseconds(500)}};
+  tta::Bus bus{s, sched, tta::Bus::Params{}};
+  std::vector<tta::NodeId> log;
+  std::vector<OrderSink> sinks = std::vector<OrderSink>(5);
+
+  OrderBus() {
+    const tta::NodeId attach_order[] = {3, 0, 4, 1, 2};
+    for (std::size_t i = 0; i < sinks.size(); ++i) {
+      sinks[i].id = attach_order[i];
+      sinks[i].log = &log;
+      bus.attach(sinks[i]);
+    }
+  }
+
+  /// Node 0 transmits at its first send instant.
+  bool transmit() {
+    s.run_until(sched.send_instant(0, 0));
+    tta::Frame f;
+    f.payload = {1, 2, 3};
+    f.seal();
+    return bus.transmit(0, f);
+  }
+};
+
+TEST(Broadcast, OneTransmissionIsOneKernelEvent) {
+  OrderBus rig;
+  ASSERT_TRUE(rig.transmit());
+  const std::uint64_t before = rig.s.events_executed();
+  EXPECT_EQ(rig.s.run_all(), 1u);
+  EXPECT_EQ(rig.s.events_executed() - before, 1u);
+  EXPECT_EQ(rig.log.size(), 4u);  // every receiver but the sender
+  EXPECT_EQ(rig.bus.frame_pool()->in_use(), 0u);
+}
+
+TEST(Broadcast, ReceiversRunInAttachOrderAndDroppedOnesAreSkipped) {
+  OrderBus rig;
+  rig.bus.add_channel_fault(
+      [](tta::Delivery&, tta::NodeId receiver, sim::SimTime) {
+        return receiver != 4;
+      });
+  ASSERT_TRUE(rig.transmit());
+  (void)rig.s.run_all();
+  // Attach order 3 0 4 1 2, minus the sender (0) and the dropped 4.
+  EXPECT_EQ(rig.log, (std::vector<tta::NodeId>{3, 1, 2}));
+}
+
+TEST(Broadcast, TransmissionWithNoDeliverySchedulesNothing) {
+  OrderBus rig;
+  rig.bus.add_channel_fault(
+      [](tta::Delivery&, tta::NodeId, sim::SimTime) { return false; });
+  ASSERT_TRUE(rig.transmit());
+  EXPECT_FALSE(rig.s.step());  // nothing was scheduled
+  EXPECT_TRUE(rig.log.empty());
+  EXPECT_EQ(rig.bus.frame_pool()->in_use(), 0u);
 }
 
 // --- the plane on the Fig. 10 rig -------------------------------------------

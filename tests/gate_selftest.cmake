@@ -22,7 +22,8 @@ file(MAKE_DIRECTORY "${WORK}")
 set(rules_bench_kernel_hotpath [=[{
   "events_per_sec": {"min_pct": 10}, "rounds_per_sec": {"min_pct": 10},
   "symptoms_per_sec": {"min_pct": 10}, "allocs_per_event": {"max": 0},
-  "allocs_per_round": {"max": 0}, "allocs_per_symptom": {"max_pct": 10}}]=])
+  "allocs_per_round": {"max": 0}, "cluster_allocs_per_round": {"max": 0},
+  "allocs_per_symptom": {"max_pct": 10}}]=])
 set(rules_bench_hierarchy_scaling [=[{
   "scale_convicted": {"abs": 0}, "kill_convicted": {"abs": 0},
   "flagship_converged": {"abs": 0}, "frus": {"abs": 0},
@@ -145,8 +146,8 @@ foreach(bench bench_kernel_hotpath bench_hierarchy_scaling bench_bitfault
     endforeach()
   endforeach()
 endforeach()
-if(NOT rule_total EQUAL 29)
-  message(SEND_ERROR "expected 29 gated keys and fields in all, found ${rule_total}")
+if(NOT rule_total EQUAL 30)
+  message(SEND_ERROR "expected 30 gated keys and fields in all, found ${rule_total}")
 endif()
 
 # Malformed input, on the kernel hot-path baseline.

@@ -6,11 +6,13 @@
 
 #include <cmath>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "platform/system.hpp"
 #include "platform/transducer.hpp"
 #include "sim/simulator.hpp"
+#include "vnet/message.hpp"
 
 namespace decos::platform {
 namespace {
@@ -154,6 +156,50 @@ TEST(System, MulticastReachesAllReceivers) {
   EXPECT_GT(counts[1], 10);
   EXPECT_GT(counts[2], 10);
   EXPECT_GT(counts[3], 10);
+}
+
+TEST(System, RewrittenDeliveryIsDecodedForItsReceiverOnly) {
+  // A channel hook privatises node 2's copy of node 0's frames, rewrites
+  // every value and re-seals it, so the CRC holds and the slot is judged
+  // correct. Node 2 is attached between nodes 1 and 3: the components
+  // share one decode per distinct content, so node 3 must decode the
+  // original bytes again rather than reuse node 2's rewritten messages.
+  TestRig rig;
+  auto& sys = rig.system;
+  const DasId das = sys.add_das("app", Criticality::kNonSafetyCritical);
+  const VnetId vn = sys.add_vnet("app", 4, 8);
+  std::map<ComponentId, std::vector<double>> values;
+  Job& src = sys.add_job(das, "src", 0, [](JobContext& ctx) { ctx.send(0, 1.0); });
+  std::vector<JobId> receivers;
+  for (ComponentId c = 1; c <= 3; ++c) {
+    receivers.push_back(
+        sys.add_job(das, "r" + std::to_string(c), c, [&values, c](JobContext& ctx) {
+          for (const auto& m : ctx.inbox()) values[c].push_back(m.value);
+        }).id());
+  }
+  sys.add_port(src.id(), "out", vn, receivers);
+  sys.cluster().bus().add_channel_fault(
+      [](tta::Delivery& d, tta::NodeId receiver, sim::SimTime) {
+        if (receiver != 2 || d.frame().sender != 0) return true;
+        tta::Frame& mine = d.corrupt();
+        auto msgs = vnet::unpack(mine.payload);
+        if (!msgs) return true;
+        for (vnet::Message& m : *msgs) m.value = 99.0;
+        mine.payload = vnet::pack(*msgs, mine.round);
+        mine.seal();
+        return true;
+      });
+  sys.finalize();
+  sys.start();
+  rig.run_ms(40);
+
+  for (ComponentId c = 1; c <= 3; ++c) {
+    ASSERT_GT(values[c].size(), 10u) << "component " << c;
+    const double expected = c == 2 ? 99.0 : 1.0;
+    for (const double v : values[c]) {
+      ASSERT_EQ(v, expected) << "component " << c;
+    }
+  }
 }
 
 TEST(System, PeriodicJobDispatchesAtItsPeriod) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <random>
 #include <span>
 #include <vector>
@@ -427,7 +428,7 @@ TEST(Cluster, PayloadDeliveredToHandler) {
   std::vector<std::uint8_t> last;
   cluster.node(2).delivery_handler = [&](NodeId sender,
                                          const std::vector<std::uint8_t>& p,
-                                         RoundId) {
+                                         RoundId, std::uint64_t) {
     if (sender == 0) last = p;
   };
   cluster.start();
@@ -485,6 +486,92 @@ TEST(ColdStart, DeterministicFormation) {
     return cluster.bus().frames_sent();
   };
   EXPECT_EQ(run(118), run(118));
+}
+
+// --- one broadcast event per transmission -------------------------------------
+
+/// Attached after the nodes, so it is the last receiver of every
+/// broadcast. It queues a marker at (now, kTransport) and checks that the
+/// marker is the very next event. Any event a node's on_frame scheduled
+/// at this instant with a priority <= kTransport would run first — and
+/// would have run between two receivers when each delivery was its own
+/// event. The one-event broadcast is bit-identical to the per-receiver
+/// events only because no such event exists (DESIGN.md §16).
+struct OrderingProbe : BusReceiver {
+  sim::Simulator* sim = nullptr;
+  std::uint64_t markers = 0;
+  std::uint64_t violations = 0;
+  void on_frame(const FrameHandle&, sim::SimTime, bool) override {
+    const std::uint64_t executed = sim->events_executed();
+    sim->schedule_at(
+        sim->now(),
+        [this, executed] {
+          ++markers;
+          if (sim->events_executed() != executed + 1) ++violations;
+        },
+        sim::EventPriority::kTransport);
+  }
+  [[nodiscard]] NodeId node_id() const override { return 99; }
+};
+
+TEST(Broadcast, NodeDeliveriesScheduleNothingAheadOfTheNextTransportEvent) {
+  sim::Simulator sim(119);
+  Cluster cluster(sim, small_cluster(5));
+  OrderingProbe probe;
+  probe.sim = &sim;
+  cluster.bus().attach(probe);
+  // Cold start: every node but the anchor integrates from inside
+  // on_frame (reintegrate -> schedule_slot). A receiver-stage fault and a
+  // clock excursion add privatised copies and later re-integrations.
+  cluster.node(1).faults().rx_corrupt_prob = 0.3;
+  cluster.start_cold(sim::milliseconds(20));
+  sim.run_until(sim::SimTime{0} + sim::milliseconds(150));
+  cluster.node(3).clock().set_drift_ppm(20'000.0);
+  sim.run_until(sim.now() + sim::milliseconds(60));
+  cluster.node(3).clock().set_drift_ppm(10.0);
+  sim.run_until(sim.now() + sim::milliseconds(100));
+
+  for (NodeId n = 0; n < 5; ++n) {
+    EXPECT_TRUE(cluster.node(n).in_sync()) << "node " << n;
+  }
+  EXPECT_GT(probe.markers, 500u);
+  EXPECT_EQ(probe.violations, 0u);
+}
+
+TEST(Broadcast, NodesReleaseTheSharedFrameAtSlotClose) {
+  sim::Simulator sim(121);
+  Cluster cluster(sim, small_cluster());
+  cluster.node(1).faults().rx_corrupt_prob = 0.5;  // private copies too
+  cluster.node(2).faults().rx_drop_prob = 0.2;
+  const std::shared_ptr<FramePool>& pool = cluster.bus().frame_pool();
+  cluster.start();
+  sim.run_until(sim::SimTime{0} + sim::milliseconds(50));
+  EXPECT_GT(pool->in_use(), 0u);  // frames in flight or held by nodes
+
+  // Once every node falls silent and the slots in flight close, no
+  // handle is left: the nodes released theirs at slot close.
+  for (NodeId n = 0; n < cluster.size(); ++n) {
+    cluster.node(n).faults().fail_silent = true;
+  }
+  sim.run_until(sim.now() + sim::milliseconds(4));
+  EXPECT_EQ(pool->in_use(), 0u);
+  EXPECT_LE(pool->slots(), 2u * cluster.size());
+  EXPECT_EQ(pool->fallback_acquires(), 0u);
+}
+
+TEST(Broadcast, TeardownWithABroadcastInFlightIsClean) {
+  sim::Simulator sim(120);
+  auto cluster = std::make_unique<Cluster>(sim, small_cluster());
+  const std::shared_ptr<FramePool> pool = cluster->bus().frame_pool();
+  cluster->start();
+  // Stop between node 0's first send and its arrival.
+  sim.run_until(cluster->schedule().send_instant(0, 0) +
+                cluster->bus().params().propagation_delay / 2);
+  ASSERT_EQ(cluster->bus().frames_sent(), 1u);
+  EXPECT_EQ(pool->in_use(), 1u);  // held by the queued broadcast
+  cluster.reset();
+  EXPECT_EQ(pool->in_use(), 0u);
+  // The simulator drops the queued event unrun when it goes out of scope.
 }
 
 }  // namespace

@@ -50,6 +50,45 @@ TEST(WireFormat, EmptyListRoundTrips) {
   EXPECT_TRUE(back->empty());
 }
 
+TEST(WireFormat, GoldenBytesOfTwoRecords) {
+  Message a;
+  a.vnet = 0x0102;
+  a.port = 0x0304;
+  a.sender = 0x0506;
+  a.kind = 0x07;
+  a.seq = 0x08090A0B;
+  a.value = 1.0;                  // 0x3FF0000000000000
+  a.sent_round = 0x1'0C0D0E0FULL;  // serialised as its low 32 bits
+  a.aux = 0x11121314;
+  Message b;
+  b.vnet = 1;
+  b.port = 2;
+  b.sender = 3;
+  b.kind = 0xFF;
+  b.seq = 0xFFFFFFFE;
+  b.value = -2.5;                 // 0xC004000000000000
+  b.sent_round = 7;
+  b.aux = 0;
+  const std::vector<std::uint8_t> golden = {
+      0x02, 0x00,                                      // record count
+      0x02, 0x01, 0x04, 0x03, 0x06, 0x05, 0x07, 0x00,  // vnet port sender kind
+      0x0B, 0x0A, 0x09, 0x08,                          // seq
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F,  // value
+      0x0F, 0x0E, 0x0D, 0x0C, 0x14, 0x13, 0x12, 0x11,  // sent_round aux
+      0x01, 0x00, 0x02, 0x00, 0x03, 0x00, 0xFF, 0x00,
+      0xFE, 0xFF, 0xFF, 0xFF,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0xC0,
+      0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+  };
+  EXPECT_EQ(pack({a, b}, 0), golden);
+
+  // A reused buffer holding older, longer bytes ends up with exactly the
+  // golden payload: every byte, the reserved one included, is written.
+  std::vector<std::uint8_t> reused(100, 0xEE);
+  pack_into({a, b}, 0, reused);
+  EXPECT_EQ(reused, golden);
+}
+
 TEST(WireFormat, TruncatedPayloadRejected) {
   Message m;
   m.value = 1.0;
